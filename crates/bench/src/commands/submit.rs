@@ -24,7 +24,7 @@
 
 use std::net::SocketAddr;
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use vtq::prelude::*;
 use vtq_serve::proto::parse_policy;
@@ -254,31 +254,44 @@ fn submit(opts: &HarnessOpts, client: &mut Client) -> Result<u8, String> {
         }
     };
     let quiet = opts.quiet;
+    let submitted = Instant::now();
     let terminal = client.submit_and_watch(spec.clone(), |frame| narrate(frame, quiet))?;
+    let job_ms = submitted.elapsed().as_secs_f64() * 1e3;
     match terminal {
         Frame::Rejected { reason, detail } => {
             eprintln!("error: rejected ({}): {detail}", reason.label());
             Ok(EXIT_VIOLATION)
         }
         Frame::Status { job, state, done_cells, total_cells, cached_cells, failed_cells } => {
-            if !quiet {
+            // Job wall time runs from submit to the terminal status; the
+            // results fetch is timed separately (absent when not fetched).
+            let summary = |results_ms: Option<f64>| {
+                if quiet {
+                    return;
+                }
+                let fetch =
+                    results_ms.map(|ms| format!(", results {ms:.1} ms")).unwrap_or_default();
                 eprintln!(
                     "[submit] {job}: {state} ({done_cells}/{total_cells} cells, \
-                     {cached_cells} cached, {failed_cells} failed)"
+                     {cached_cells} cached, {failed_cells} failed) in {job_ms:.1} ms{fetch}"
                 );
-            }
+            };
             match state.as_str() {
                 "cancelled" | "expired" => {
+                    summary(None);
                     eprintln!("error: job {job} {state} before completing");
                     return Ok(EXIT_INTERRUPTED);
                 }
                 "done" if failed_cells == 0 => {}
                 _ => {
+                    summary(None);
                     eprintln!("error: job {job} finished with {failed_cells} failed cells");
                     return Ok(EXIT_VIOLATION);
                 }
             }
+            let fetch_start = Instant::now();
             let records = client.fetch_results(&job)?;
+            summary(Some(fetch_start.elapsed().as_secs_f64() * 1e3));
             if opts.verify_local {
                 verify_local(opts, &spec, &records)?;
                 if !quiet {

@@ -6,7 +6,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::time::Duration;
 
-use crate::proto::{CellRecord, Frame, Request, SubmitSpec};
+use crate::proto::{write_line, CellRecord, Frame, Request, SubmitSpec};
 use crate::server::ADDR_FILE;
 
 /// Reads the daemon address a server wrote to `dir/serve.addr`.
@@ -30,25 +30,33 @@ impl Client {
         Client::connect_with_timeout(addr, Duration::from_secs(30))
     }
 
-    /// Connects with an explicit per-read timeout.
+    /// Connects with an explicit per-read timeout. The socket is
+    /// `TCP_NODELAY`: every request is one whole-frame write, so there is
+    /// nothing for Nagle to coalesce, only an ACK round trip to wait on.
     pub fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client { reader: BufReader::new(stream), writer })
     }
 
     /// Sends one request line.
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
-        self.writer.write_all(request.to_line().as_bytes())?;
-        self.writer.write_all(b"\n")
+        write_line(&mut self.writer, request.to_line())
     }
 
     /// Sends raw bytes verbatim (the chaos harness uses this to produce
     /// torn frames).
     pub fn send_raw(&mut self, bytes: &str) -> io::Result<()> {
         self.writer.write_all(bytes.as_bytes())
+    }
+
+    /// The connection's socket (socket-option tests).
+    #[cfg(test)]
+    pub(crate) fn stream(&self) -> &TcpStream {
+        &self.writer
     }
 
     /// Reads and parses one server frame.

@@ -1,11 +1,13 @@
 //! Job lifecycle: the admission-controlled queue, per-job state machine
 //! and the persistent poison list.
 //!
-//! States move `Queued → Running → {Done, Failed, Cancelled, Expired}`;
-//! a queued job can also go straight to `Cancelled`. Cancellation and
-//! deadlines ride the job's [`CancelToken`]: the executor's engine checks
-//! it at every cell boundary, so both stop at the next boundary with the
+//! States move `Queued → Running → {Done, Cancelled, Expired}`; a queued
+//! job can also go straight to `Cancelled`. Cancellation and deadlines
+//! ride the job's [`CancelToken`]: the executor's engine checks it at
+//! every cell boundary, so both stop at the next boundary with the
 //! journal left consistent (`interrupted` records for unstarted cells).
+//! [`Registry::settle`] is the single place a job becomes terminal, and
+//! it is what wakes the job's watcher (see [`Registry::watch`]).
 //!
 //! The poison list is the service's forensic memory: a cell (by cache
 //! key) that panics accumulates strikes in `poison.jsonl`; at the
@@ -17,11 +19,12 @@ use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 
 use vtq::jsonl::{json_quote, json_str_field};
 use vtq::prelude::CancelToken;
 
-use crate::proto::SubmitSpec;
+use crate::proto::{Frame, SubmitSpec};
 
 /// Terminal and non-terminal states of one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,14 +83,30 @@ pub struct Job {
     pub failed_cells: usize,
 }
 
+impl Job {
+    /// The job's status as a wire frame.
+    pub fn status_frame(&self) -> Frame {
+        Frame::Status {
+            job: self.id.clone(),
+            state: self.state.label().to_string(),
+            done_cells: self.done_cells,
+            total_cells: self.total_cells,
+            cached_cells: self.cached_cells,
+            failed_cells: self.failed_cells,
+        }
+    }
+}
+
 /// The admission-controlled registry: bounded queue, per-tenant quotas,
-/// job lookup. All methods take `&mut self`; the server wraps it in its
-/// state mutex.
+/// job lookup, and the per-job watcher channels. The server wraps it in
+/// its state mutex, so a watcher's sender lives under the same lock as
+/// the job state it reports on.
 #[derive(Debug, Default)]
 pub struct Registry {
     jobs: Vec<Job>,
     queue: Vec<usize>,
     next_seq: usize,
+    watchers: HashMap<String, SyncSender<Frame>>,
 }
 
 /// Why admission refused a job.
@@ -182,7 +201,7 @@ impl Registry {
         }
         job.token.cancel();
         if job.state == JobState::Queued {
-            job.state = JobState::Cancelled;
+            self.settle(id, JobState::Cancelled);
             // Free the queue slot immediately: admission control bounds
             // on `queue.len()`, and a cancelled ghost must not keep
             // rejecting live submissions.
@@ -191,6 +210,49 @@ impl Registry {
         }
         prof::add(prof::Counter::JobsCancelled, 1);
         true
+    }
+
+    /// Moves a job to the terminal `state` and drops its watcher's
+    /// sender, which wakes the watcher: it drains the buffered events,
+    /// sees the channel disconnect, and reads the terminal status from
+    /// here. The first settlement wins; returns whether this call
+    /// settled the job.
+    pub fn settle(&mut self, id: &str, state: JobState) -> bool {
+        debug_assert!(state.terminal(), "settle needs a terminal state, got {state:?}");
+        let Some(job) = self.get_mut(id) else { return false };
+        if job.state.terminal() {
+            return false;
+        }
+        job.state = state;
+        self.watchers.remove(id);
+        true
+    }
+
+    /// Opens the watcher channel of a not-yet-terminal job: per-cell
+    /// events sent through [`emit`](Self::emit) arrive on the returned
+    /// receiver, which disconnects once the job settles. At most
+    /// `buffer` events queue up; beyond that, [`emit`](Self::emit)
+    /// drops. `None` for unknown or already-settled jobs.
+    pub fn watch(&mut self, id: &str, buffer: usize) -> Option<Receiver<Frame>> {
+        if self.get(id)?.state.terminal() {
+            return None;
+        }
+        let (tx, rx) = sync_channel(buffer);
+        self.watchers.insert(id.to_string(), tx);
+        Some(rx)
+    }
+
+    /// Sends `frame` to the job's watcher, if any, without blocking: on a
+    /// full buffer the event is dropped (and counted) — a stalled watcher
+    /// loses progress events, never its terminal status.
+    pub fn emit(&self, id: &str, frame: Frame) {
+        if let Some(tx) = self.watchers.get(id) {
+            match tx.try_send(frame) {
+                Ok(()) => {}
+                Err(TrySendError::Full(_)) => prof::add(prof::Counter::EventsDropped, 1),
+                Err(TrySendError::Disconnected(_)) => {} // watcher went away
+            }
+        }
     }
 
     /// Counts by state for the service summary: `(queued, running,
@@ -349,6 +411,32 @@ mod tests {
         // The clone the executor holds shares the token.
         assert!(running.token.is_cancelled());
         assert_eq!(reg.get(&a.id).unwrap().state, JobState::Running, "settles at cell boundary");
+    }
+
+    #[test]
+    fn settle_wakes_the_watcher_after_its_events() {
+        let mut reg = Registry::default();
+        let a = reg.admit(spec("t"), 1, 1, 8, 8).unwrap();
+        let rx = reg.watch(&a.id, 4).unwrap();
+        reg.take_next().unwrap();
+        reg.emit(&a.id, Frame::ShuttingDown);
+        assert!(reg.settle(&a.id, JobState::Done));
+        assert!(!reg.settle(&a.id, JobState::Cancelled), "first settlement wins");
+        assert_eq!(reg.get(&a.id).unwrap().state, JobState::Done);
+        // Buffered events drain first, then the channel disconnects.
+        assert_eq!(rx.recv(), Ok(Frame::ShuttingDown));
+        assert!(rx.recv().is_err(), "settle must drop the sender");
+        assert!(reg.watch(&a.id, 4).is_none(), "a settled job cannot be watched");
+    }
+
+    #[test]
+    fn cancelling_a_queued_job_wakes_its_watcher() {
+        let mut reg = Registry::default();
+        let a = reg.admit(spec("t"), 1, 1, 8, 8).unwrap();
+        let rx = reg.watch(&a.id, 4).unwrap();
+        assert!(reg.cancel(&a.id));
+        assert!(rx.recv().is_err());
+        assert_eq!(reg.get(&a.id).unwrap().state, JobState::Cancelled);
     }
 
     #[test]

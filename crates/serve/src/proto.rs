@@ -12,6 +12,7 @@
 //! sides), so the format can grow without lockstep upgrades.
 
 use std::collections::BTreeMap;
+use std::io;
 use std::time::Duration;
 
 use gpusim::TraversalPolicy;
@@ -152,6 +153,15 @@ pub fn parse_policy(label: &str) -> Option<TraversalPolicy> {
 /// Parses a scene name (case-insensitive, e.g. `REF`).
 pub fn parse_scene(name: &str) -> Option<SceneId> {
     SceneId::ALL_WITH_EXTRAS.into_iter().find(|s| s.name().eq_ignore_ascii_case(name))
+}
+
+/// Writes one frame — `line` plus its `\n` terminator — with a single
+/// `write_all`. Writing the newline separately would put every frame in
+/// two TCP segments, and under Nagle the second one waits for the peer's
+/// delayed ACK: tens of milliseconds per request/response on loopback.
+pub fn write_line<W: io::Write>(out: &mut W, mut line: String) -> io::Result<()> {
+    line.push('\n');
+    out.write_all(line.as_bytes())
 }
 
 fn int_field(line: &str, name: &str) -> Option<u64> {
@@ -553,6 +563,40 @@ impl std::hash::Hasher for FnvHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Records the buffer of every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl io::Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_sends_each_frame_in_one_write() {
+        let frames = [
+            Request::Status { job: Some("j7".to_string()) }.to_line(),
+            Frame::ResultsEnd { cells: 3 }.to_line(),
+            Frame::ShuttingDown.to_line(),
+        ];
+        let mut out = CountingWriter::default();
+        for line in &frames {
+            write_line(&mut out, line.clone()).unwrap();
+        }
+        assert_eq!(out.writes.len(), frames.len(), "exactly one write per frame");
+        for (write, line) in out.writes.iter().zip(&frames) {
+            assert_eq!(write, format!("{line}\n").as_bytes(), "whole line plus newline");
+        }
+    }
 
     #[test]
     fn submit_round_trips() {

@@ -26,13 +26,19 @@
 //! write timeouts, and per-cell progress events flow through bounded
 //! channels that drop (and count, via [`prof::Counter::EventsDropped`])
 //! rather than block when a watcher stops draining.
+//!
+//! # Wire path
+//!
+//! Every frame leaves in one write ([`write_line`]) on a `TCP_NODELAY`
+//! socket, and a watcher blocks on its event channel until
+//! [`Registry::settle`] disconnects it: a request waits only on the work
+//! it asked for, never on a delayed ACK or a poll timer.
 
-use std::collections::HashMap;
-use std::io::{self, BufRead as _, BufReader, Write as _};
+use std::io::{self, BufRead as _, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -45,7 +51,9 @@ use vtq::sweep::RunMatrix;
 
 use crate::cache::ResultCache;
 use crate::jobs::{AdmitError, Job, JobState, PoisonList, Registry};
-use crate::proto::{spec_fingerprint, CellRecord, Frame, RejectReason, Request, SubmitSpec};
+use crate::proto::{
+    spec_fingerprint, write_line, CellRecord, Frame, RejectReason, Request, SubmitSpec,
+};
 
 /// File (inside the service dir) holding the bound address, so clients
 /// can discover an ephemeral port.
@@ -121,7 +129,6 @@ struct ServeState {
     journal: Arc<SweepJournal>,
     cache: ResultCache,
     prepared: Arc<PreparedCache>,
-    watchers: Mutex<HashMap<String, SyncSender<Frame>>>,
     shutdown: AtomicBool,
 }
 
@@ -130,35 +137,30 @@ impl ServeState {
         self.shutdown.load(Ordering::SeqCst) || vtq::durable::cancel_requested()
     }
 
-    /// Streams one per-cell event to the job's watcher (if any), dropping
-    /// on a full buffer — graceful degradation, with the loss counted.
-    fn emit(&self, job_id: &str, label: &str, status: &str, cycles: u64, rays: u64) {
-        let watchers = self.watchers.lock().unwrap();
-        if let Some(tx) = watchers.get(job_id) {
-            let frame = Frame::CellEvent {
-                job: job_id.to_string(),
-                label: label.to_string(),
-                status: status.to_string(),
-                cycles,
-                rays,
-            };
-            match tx.try_send(frame) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => prof::add(prof::Counter::EventsDropped, 1),
-                Err(TrySendError::Disconnected(_)) => {} // watcher went away
-            }
+    /// Settles one cell of a job: applies `update` to its counters and
+    /// streams the per-cell event to its watcher (if any), both under one
+    /// registry lock.
+    fn cell_event(
+        &self,
+        job_id: &str,
+        label: &str,
+        status: &str,
+        cycles: u64,
+        rays: u64,
+        update: impl FnOnce(&mut Job),
+    ) {
+        let mut registry = self.registry.lock().unwrap();
+        if let Some(job) = registry.get_mut(job_id) {
+            update(job);
         }
-    }
-
-    fn status_frame(&self, job: &Job) -> Frame {
-        Frame::Status {
-            job: job.id.clone(),
-            state: job.state.label().to_string(),
-            done_cells: job.done_cells,
-            total_cells: job.total_cells,
-            cached_cells: job.cached_cells,
-            failed_cells: job.failed_cells,
-        }
+        let frame = Frame::CellEvent {
+            job: job_id.to_string(),
+            label: label.to_string(),
+            status: status.to_string(),
+            cycles,
+            rays,
+        };
+        registry.emit(job_id, frame);
     }
 }
 
@@ -214,7 +216,6 @@ impl Server {
             journal: Arc::new(journal),
             cache,
             prepared: Arc::new(PreparedCache::new()),
-            watchers: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
             config,
         });
@@ -339,12 +340,10 @@ fn run_job(state: &ServeState, job: &Job) {
     }
     for (label, strikes, detail) in &quarantined {
         eprintln!("[serve] {}: `{label}` quarantined after {strikes} strike(s): {detail}", job.id);
-        state.emit(&job.id, label, "quarantined", 0, 0);
-        let mut registry = state.registry.lock().unwrap();
-        if let Some(j) = registry.get_mut(&job.id) {
+        state.cell_event(&job.id, label, "quarantined", 0, 0, |j| {
             j.failed_cells += 1;
             j.done_cells += 1;
-        }
+        });
     }
 
     // A fresh engine per job: its wave counter starts at zero and its
@@ -410,14 +409,13 @@ fn run_job(state: &ServeState, job: &Job) {
                     "[serve] {}: `{}` panicked (strike {strikes}/{}): {}",
                     job.id, cell.label, state.config.poison_threshold, e.message
                 );
-                state.emit(&job.id, &cell.label, "failed", 0, 0);
-                bump(state, &job.id, |j| {
+                state.cell_event(&job.id, &cell.label, "failed", 0, 0, |j| {
                     j.failed_cells += 1;
                     j.done_cells += 1;
                 });
             }
             Err(e) if e.kind == CellErrorKind::Interrupted => {
-                state.emit(&job.id, &cell.label, "interrupted", 0, 0);
+                state.cell_event(&job.id, &cell.label, "interrupted", 0, 0, |_| {});
             }
             Err(_) => {
                 // Journal says done (a previous daemon life) — serve the
@@ -464,29 +462,16 @@ fn run_job(state: &ServeState, job: &Job) {
     } else {
         JobState::Done
     };
-    let mut registry = state.registry.lock().unwrap();
-    if let Some(j) = registry.get_mut(&job.id) {
-        if !j.state.terminal() {
-            j.state = terminal;
-        }
-    }
-}
-
-fn bump(state: &ServeState, job_id: &str, f: impl FnOnce(&mut Job)) {
-    let mut registry = state.registry.lock().unwrap();
-    if let Some(j) = registry.get_mut(job_id) {
-        f(j);
-    }
+    state.registry.lock().unwrap().settle(&job.id, terminal);
 }
 
 fn note_cell(state: &ServeState, job: &Job, status: &str, record: &CellRecord) {
-    bump(state, &job.id, |j| {
+    state.cell_event(&job.id, &record.label, status, record.cycles, record.rays, |j| {
         j.done_cells += 1;
         if status == "cached" {
             j.cached_cells += 1;
         }
     });
-    state.emit(&job.id, &record.label, status, record.cycles, record.rays);
 }
 
 // ---------------------------------------------------------------------------
@@ -494,13 +479,20 @@ fn note_cell(state: &ServeState, job: &Job, status: &str, record: &CellRecord) {
 // ---------------------------------------------------------------------------
 
 fn write_frame(stream: &mut TcpStream, frame: &Frame) -> io::Result<()> {
-    stream.write_all(frame.to_line().as_bytes())?;
-    stream.write_all(b"\n")
+    write_line(stream, frame.to_line())
+}
+
+/// Socket options of an accepted client connection: read/write timeouts
+/// reap slow clients, and `TCP_NODELAY` sends each (whole-frame) write
+/// at once instead of holding it for the client's ACK.
+fn configure_accepted(stream: &TcpStream, timeout: Duration) -> io::Result<()> {
+    stream.set_read_timeout(Some(timeout))?;
+    stream.set_write_timeout(Some(timeout))?;
+    stream.set_nodelay(true)
 }
 
 fn handle_client(state: &ServeState, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(state.config.client_timeout));
-    let _ = stream.set_write_timeout(Some(state.config.client_timeout));
+    let _ = configure_accepted(&stream, state.config.client_timeout);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
         Err(_) => return,
@@ -538,7 +530,7 @@ fn handle_client(state: &ServeState, stream: TcpStream) {
                 state.work.notify_all();
                 let frame = if cancelled {
                     let registry = state.registry.lock().unwrap();
-                    state.status_frame(registry.get(&job).expect("cancelled job exists"))
+                    registry.get(&job).expect("cancelled job exists").status_frame()
                 } else {
                     Frame::Rejected {
                         reason: RejectReason::BadRequest,
@@ -601,25 +593,19 @@ fn handle_submit(state: &ServeState, writer: &mut TcpStream, spec: SubmitSpec) -
             state.config.max_queue,
             state.config.tenant_quota,
         );
-        // Register the watcher before releasing the registry lock: the
+        // Open the watcher before releasing the registry lock: the
         // executor cannot dequeue the job until we release, so no event
         // can be emitted before the watcher exists.
         if let (Ok(job), true) = (&admitted, watch) {
-            let (tx, rx) = sync_channel(EVENT_BUFFER);
-            state.watchers.lock().unwrap().insert(job.id.clone(), tx);
+            let rx = registry.watch(&job.id, EVENT_BUFFER).expect("a just-admitted job is live");
             drop(registry);
             state.work.notify_all();
-            let job = job.clone();
-            let ok = write_frame(
-                writer,
-                &Frame::Accepted { job: job.id.clone(), fingerprint: cfg_fp, cells: total_cells },
-            )
-            .is_ok();
-            if !ok {
-                state.watchers.lock().unwrap().remove(&job.id);
-                return false;
-            }
-            return stream_watch(state, writer, &job.id, &rx);
+            let accepted =
+                Frame::Accepted { job: job.id.clone(), fingerprint: cfg_fp, cells: total_cells };
+            // A failed write drops `rx`; later events for the job then
+            // hit a disconnected channel and are discarded.
+            return write_frame(writer, &accepted).is_ok()
+                && stream_watch(state, writer, &job.id, rx);
         }
         admitted
     };
@@ -638,42 +624,23 @@ fn handle_submit(state: &ServeState, writer: &mut TcpStream, spec: SubmitSpec) -
     write_frame(writer, &frame).is_ok()
 }
 
-/// Forwards events until the job reaches a terminal state, then sends
-/// the terminal status frame. The terminal frame comes from the
-/// *registry*, not the event channel, so a full (degraded) channel can
-/// never lose the one frame the client must see.
+/// Forwards events until [`Registry::settle`] disconnects the channel,
+/// then sends the terminal status frame. The terminal frame comes from
+/// the *registry*, not the event channel, so a full (degraded) channel
+/// can never lose the one frame the client must see.
 fn stream_watch(
     state: &ServeState,
     writer: &mut TcpStream,
     job_id: &str,
-    rx: &std::sync::mpsc::Receiver<Frame>,
+    rx: Receiver<Frame>,
 ) -> bool {
-    let ok = loop {
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(frame) => {
-                if write_frame(writer, &frame).is_err() {
-                    break false; // watcher hung up; job keeps running
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break true,
+    for frame in rx {
+        if write_frame(writer, &frame).is_err() {
+            return false; // watcher hung up; job keeps running
         }
-        let terminal = {
-            let registry = state.registry.lock().unwrap();
-            registry.get(job_id).map(|j| (j.state.terminal(), state.status_frame(j)))
-        };
-        if let Some((true, status)) = terminal {
-            // Drain events that raced the state change, then finish.
-            while let Ok(frame) = rx.try_recv() {
-                if write_frame(writer, &frame).is_err() {
-                    break;
-                }
-            }
-            break write_frame(writer, &status).is_ok();
-        }
-    };
-    state.watchers.lock().unwrap().remove(job_id);
-    ok
+    }
+    let status = state.registry.lock().unwrap().get(job_id).map(Job::status_frame);
+    status.is_some_and(|status| write_frame(writer, &status).is_ok())
 }
 
 fn handle_status(state: &ServeState, writer: &mut TcpStream, job: Option<&str>) -> bool {
@@ -681,7 +648,7 @@ fn handle_status(state: &ServeState, writer: &mut TcpStream, job: Option<&str>) 
         Some(id) => {
             let registry = state.registry.lock().unwrap();
             match registry.get(id) {
-                Some(job) => state.status_frame(job),
+                Some(job) => job.status_frame(),
                 None => Frame::Rejected {
                     reason: RejectReason::BadRequest,
                     detail: format!("unknown job `{id}`"),
@@ -723,4 +690,20 @@ fn handle_results(state: &ServeState, writer: &mut TcpStream, job_id: &str) -> b
         }
     }
     write_frame(writer, &Frame::ResultsEnd { cells }).is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn both_ends_of_a_connection_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        configure_accepted(&accepted, Duration::from_secs(1)).unwrap();
+        assert!(accepted.nodelay().unwrap(), "daemon side must set TCP_NODELAY");
+        assert!(client.stream().nodelay().unwrap(), "client side must set TCP_NODELAY");
+    }
 }

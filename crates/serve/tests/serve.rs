@@ -347,3 +347,156 @@ fn chaos_campaign_all_green() {
     handle.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------------
+// Watcher wake-ups. A watcher blocks until the job settles — there is no
+// timer fallback — so every terminal path must wake it. Each watcher
+// reads with a bounded timeout: a missed wake-up fails the test as a
+// read error instead of hanging it.
+// ---------------------------------------------------------------------------
+
+const WAKE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Submits `spec` as a watched job on its own connection (on a thread)
+/// and returns the job id once accepted plus a handle yielding the
+/// terminal frame.
+fn watch_in_background(
+    addr: std::net::SocketAddr,
+    spec: SubmitSpec,
+) -> (String, std::thread::JoinHandle<Result<Frame, String>>) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let watcher = std::thread::spawn(move || {
+        let mut client = Client::connect_with_timeout(addr, WAKE_TIMEOUT).expect("connect");
+        client.submit_and_watch(spec, |frame| {
+            if let Frame::Accepted { job, .. } = frame {
+                let _ = tx.send(job.clone());
+            }
+        })
+    });
+    let job = rx.recv_timeout(WAKE_TIMEOUT).expect("watched job accepted");
+    (job, watcher)
+}
+
+fn terminal_state(watcher: std::thread::JoinHandle<Result<Frame, String>>) -> String {
+    match watcher.join().expect("watcher thread") {
+        Ok(Frame::Status { state, .. }) => state,
+        other => panic!("watcher never saw its terminal status: {other:?}"),
+    }
+}
+
+/// Holds the executor busy with a cancellable chaos stall so jobs
+/// submitted after it stay queued.
+fn occupy_executor(client: &mut Client) -> String {
+    let mut stall = tiny_spec();
+    stall.chaos_sleep = Some(Duration::from_secs(60));
+    stall.tenant = "stall".to_string();
+    let job = match client.request(&Request::Submit(stall)).expect("submit stall") {
+        Frame::Accepted { job, .. } => job,
+        other => panic!("expected accept, got {other:?}"),
+    };
+    let deadline = std::time::Instant::now() + WAKE_TIMEOUT;
+    loop {
+        match client.request(&Request::Status { job: Some(job.clone()) }).expect("status") {
+            Frame::Status { state, .. } if state == "running" => return job,
+            Frame::Status { .. } => {}
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(std::time::Instant::now() < deadline, "stall job never started");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn watcher_of_a_job_cancelled_while_queued_wakes_cancelled() {
+    let dir = test_dir("wake-cancel");
+    let mut cfg = config(dir.clone());
+    cfg.allow_chaos = true;
+    let handle = Server::spawn(cfg).expect("spawn");
+    let mut control = Client::connect_with_timeout(handle.addr(), WAKE_TIMEOUT).expect("connect");
+    let stall = occupy_executor(&mut control);
+
+    let (job, watcher) = watch_in_background(handle.addr(), tiny_spec());
+    match control.request(&Request::Cancel { job: job.clone() }).expect("cancel") {
+        Frame::Status { state, .. } => assert_eq!(state, "cancelled", "queued jobs settle at once"),
+        other => panic!("expected status, got {other:?}"),
+    }
+    assert_eq!(terminal_state(watcher), "cancelled");
+
+    control.request(&Request::Cancel { job: stall }).expect("cancel stall");
+    handle.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn watchers_of_queued_jobs_wake_during_shutdown_drain() {
+    let dir = test_dir("wake-drain");
+    let mut cfg = config(dir.clone());
+    cfg.allow_chaos = true;
+    let handle = Server::spawn(cfg).expect("spawn");
+    let mut control = Client::connect_with_timeout(handle.addr(), WAKE_TIMEOUT).expect("connect");
+    occupy_executor(&mut control);
+
+    let watchers: Vec<_> = (0..2)
+        .map(|k| {
+            let mut spec = tiny_spec();
+            spec.tenant = format!("queued-{k}");
+            watch_in_background(handle.addr(), spec).1
+        })
+        .collect();
+    match control.request(&Request::Status { job: None }).expect("summary") {
+        Frame::Summary { queued, running, .. } => assert_eq!((queued, running), (2, 1)),
+        other => panic!("expected summary, got {other:?}"),
+    }
+    assert_eq!(control.request(&Request::Shutdown).expect("shutdown"), Frame::ShuttingDown);
+    for watcher in watchers {
+        assert_eq!(terminal_state(watcher), "cancelled");
+    }
+    handle.shutdown().expect("drain");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn watcher_of_an_expiring_job_wakes_expired() {
+    let dir = test_dir("wake-expire");
+    let mut cfg = config(dir.clone());
+    cfg.allow_chaos = true;
+    let handle = Server::spawn(cfg).expect("spawn");
+
+    // The stall outlives the deadline, so only the deadline can end it.
+    let mut spec = tiny_spec();
+    spec.chaos_sleep = Some(Duration::from_secs(60));
+    spec.deadline = Some(Duration::from_millis(200));
+    let (_, watcher) = watch_in_background(handle.addr(), spec);
+    assert_eq!(terminal_state(watcher), "expired");
+
+    handle.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Guards the request path against waits that are not work: a cached
+/// tiny job plus its results fetch is a handful of loopback round trips,
+/// so 32 of them take milliseconds. A delayed-ACK stall or a poll timer
+/// on any frame costs tens of milliseconds each and blows the budget.
+#[test]
+fn cached_round_trips_stay_fast_on_loopback() {
+    let dir = test_dir("latency");
+    let handle = Server::spawn(config(dir.clone())).expect("spawn");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let warm = client.submit_and_watch(tiny_spec(), |_| {}).expect("fresh submit");
+    assert!(matches!(&warm, Frame::Status { state, .. } if state == "done"), "{warm:?}");
+
+    let start = std::time::Instant::now();
+    for _ in 0..32 {
+        let terminal = client.submit_and_watch(tiny_spec(), |_| {}).expect("cached submit");
+        let Frame::Status { job, state, cached_cells, .. } = terminal else {
+            panic!("expected status, got {terminal:?}")
+        };
+        assert_eq!((state.as_str(), cached_cells), ("done", 1));
+        assert_eq!(client.fetch_results(&job).expect("results").len(), 1);
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "32 cached round trips took {elapsed:?}");
+
+    handle.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
