@@ -10,7 +10,7 @@
 //! injected fault and asserts the recovery invariants end to end:
 //!
 //! * **canary** — a checksum-framed record with one payload bit flipped
-//!   must be rejected by [`vtq::jsonl::check_line`]. This is the
+//!   must be rejected by [`gpusim::frames::check_line`]. This is the
 //!   sabotage detector: a build whose frame verification is disabled
 //!   (`--sabotage` simulates one) fails the campaign immediately.
 //! * **journal-kill** — a journaled sweep killed at a seeded cell
@@ -49,9 +49,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use gpusim::frames::{check_line, frame_line, frame_lines, quote};
 use gpusim::{Checkpoint, Simulator};
 use vtq::diskfault::{arm, disarm, DiskFault, FaultPlan};
-use vtq::jsonl::{check_line, frame_line, json_quote};
 use vtq::prelude::*;
 use vtq_serve::{Client, ResultCache, Server, ServerConfig, SubmitSpec};
 
@@ -505,7 +505,7 @@ fn bench_corrupt(ctx: &Ctx, rng: &mut u64) -> Verdict {
     let pos = flip_seeded(&mut bytes, rng);
     let outcome = match String::from_utf8(bytes) {
         Err(_) => Err("invalid UTF-8".to_string()),
-        Ok(mutated) => parse_bench_file(&mutated),
+        Ok(mutated) => parse_bench_file(&mutated).map_err(|e| e.to_string()),
     };
     match outcome {
         Ok(entries) if entries == ctx.bench_entries => {
@@ -714,28 +714,29 @@ fn serve_round_inner(dir: &Path, addr: std::net::SocketAddr, rng: &mut u64) -> V
 
 fn chaos_jsonl(seeds: u64, outcomes: &[Outcome]) -> String {
     let violations = outcomes.iter().filter(|o| o.verdict.is_err()).count();
-    let mut out = format!("{}\n", frame_line(&provenance_line(None, None)));
-    for o in outcomes {
+    let scenarios = outcomes.iter().map(|o| {
         let (ok, detail) = match &o.verdict {
             Ok(d) => (1, d),
             Err(d) => (0, d),
         };
-        out.push_str(&frame_line(&format!(
-            "{{\"record\":\"chaos_scenario\",\"seed\":{},\"scenario\":\"{}\",\"ok\":{ok},\
+        format!(
+            "{{\"record\":\"chaos_scenario\",\"seed\":{},\"scenario\":{},\"ok\":{ok},\
              \"detail\":{}}}",
             o.seed,
-            o.scenario,
-            json_quote(detail),
-        )));
-        out.push('\n');
-    }
-    out.push_str(&frame_line(&format!(
+            quote(o.scenario),
+            quote(detail),
+        )
+    });
+    let summary = format!(
         "{{\"record\":\"chaos_summary\",\"seeds\":{seeds},\"scenarios\":{},\"violations\":{}}}",
         outcomes.len(),
         violations,
-    )));
-    out.push('\n');
-    out
+    );
+    frame_lines(
+        std::iter::once(provenance_line(None, None))
+            .chain(scenarios)
+            .chain(std::iter::once(summary)),
+    )
 }
 
 fn campaign(opts: &HarnessOpts) -> u8 {
@@ -837,10 +838,10 @@ pub fn run(opts: &HarnessOpts, _engine: &SweepEngine) -> u8 {
             "[chaos] --sabotage: frame verification DISABLED for this run; \
              the campaign must now fail"
         );
-        vtq::jsonl::sabotage_accept_unverified_frames(true);
+        gpusim::frames::sabotage_accept_unverified_frames(true);
     }
     let code = campaign(opts);
-    vtq::jsonl::sabotage_accept_unverified_frames(false);
+    gpusim::frames::sabotage_accept_unverified_frames(false);
     reset_cancel();
     code
 }

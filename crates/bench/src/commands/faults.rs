@@ -16,6 +16,7 @@
 use std::fs;
 use std::io::Write as _;
 
+use gpusim::frames::{frame_lines, quote};
 use vtq::prelude::*;
 
 use crate::{header, row, HarnessOpts};
@@ -32,13 +33,14 @@ fn cell_jsonl(c: &CellOutcome) -> String {
     };
     format!(
         "{{\"record\":\"fault_cell\",\"index\":{},\"kind\":\"{}\",\"status\":\"{status}\",\
-         \"error_kind\":\"{error_kind}\",\"retries\":{},\"final_budget\":{},\"cycles\":{cycles},\
-         \"rays_completed\":{rays},\"detail\":\"{}\"}}",
+         \"error_kind\":{},\"retries\":{},\"final_budget\":{},\"cycles\":{cycles},\
+         \"rays_completed\":{rays},\"detail\":{}}}",
         c.index,
         c.kind.label(),
+        quote(error_kind),
         c.retries,
         c.final_budget,
-        detail.replace('\\', "\\\\").replace('"', "\\\""),
+        quote(&detail),
     )
 }
 
@@ -49,18 +51,11 @@ fn persist(
 ) -> std::io::Result<()> {
     let Some(dir) = &opts.out else { return Ok(()) };
     fs::create_dir_all(dir)?;
+    let header = provenance_line(Some(config_fingerprint(&campaign.config)), Some(campaign.seed));
     let mut file = fs::File::create(dir.join("faults.jsonl"))?;
-    writeln!(
-        file,
-        "{}",
-        vtq::jsonl::frame_line(&provenance_line(
-            Some(config_fingerprint(&campaign.config)),
-            Some(campaign.seed)
-        ))
+    file.write_all(
+        frame_lines(std::iter::once(header).chain(report.cells.iter().map(cell_jsonl))).as_bytes(),
     )?;
-    for cell in &report.cells {
-        writeln!(file, "{}", vtq::jsonl::frame_line(&cell_jsonl(cell)))?;
-    }
     file.sync_all()?;
     eprintln!("[faults] outcomes in {}", dir.join("faults.jsonl").display());
     Ok(())

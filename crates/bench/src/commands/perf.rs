@@ -38,6 +38,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use gpumem::{Assoc, Cache, CacheConfig};
+use gpusim::frames::{frame_lines, quote, records, FlatError};
 use gpusim::hw_table::HwQueueTable;
 use gpusim::queues::TreeletQueues;
 use gpusim::{predict_key, PredictTable, RayId, TRACE_T_MIN};
@@ -353,9 +354,14 @@ fn macro_suite(
 
 fn entry_jsonl(e: &BenchEntry) -> String {
     format!(
-        "{{\"record\":\"bench\",\"kind\":\"{}\",\"name\":\"{}\",\"trials\":{},\"iters\":{},\
+        "{{\"record\":\"bench\",\"kind\":{},\"name\":{},\"trials\":{},\"iters\":{},\
          \"median_ns\":{},\"mad_ns\":{}}}",
-        e.kind, e.name, e.trials, e.iters, e.median_ns, e.mad_ns
+        quote(&e.kind),
+        quote(&e.name),
+        e.trials,
+        e.iters,
+        e.median_ns,
+        e.mad_ns
     )
 }
 
@@ -363,46 +369,11 @@ fn entry_jsonl(e: &BenchEntry) -> String {
 /// Every line is checksum-framed so a damaged baseline is detected at
 /// compare time instead of gating a perf run on corrupt numbers.
 pub fn bench_file(entries: &[BenchEntry], fingerprint: u64, quick: bool) -> String {
-    let frame = vtq::jsonl::frame_line;
-    let mut out = format!("{}\n", frame(&provenance_line(Some(fingerprint), None)));
-    out.push_str(&frame(&format!("{{\"record\":\"bench_meta\",\"version\":1,\"quick\":{quick}}}")));
-    out.push('\n');
-    for e in entries {
-        out.push_str(&frame(&entry_jsonl(e)));
-        out.push('\n');
-    }
-    out
-}
-
-/// Splits one flat JSON object into raw `key -> value` pairs (same
-/// hand-rolled shape as the snapshot and golden parsers).
-fn parse_flat_line(line: &str) -> Option<Vec<(String, String)>> {
-    let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut pairs = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        rest = rest.trim_start_matches(',');
-        let (key, after) = {
-            let r = rest.trim_start().strip_prefix('"')?;
-            let end = r.find('"')?;
-            (r[..end].to_string(), r[end + 1..].trim_start().strip_prefix(':')?)
-        };
-        let after = after.trim_start();
-        let (value, remainder) = if let Some(r) = after.strip_prefix('"') {
-            let end = r.find('"')?;
-            (r[..end].to_string(), &r[end + 1..])
-        } else {
-            let end = after.find(',').unwrap_or(after.len());
-            (after[..end].trim().to_string(), &after[end..])
-        };
-        pairs.push((key, value));
-        rest = remainder;
-    }
-    Some(pairs)
-}
-
-fn field<'a>(pairs: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    let head = [
+        provenance_line(Some(fingerprint), None),
+        format!("{{\"record\":\"bench_meta\",\"version\":1,\"quick\":{quick}}}"),
+    ];
+    frame_lines(head.into_iter().chain(entries.iter().map(entry_jsonl)))
 }
 
 /// Parses a BENCH file's `bench` records (provenance/meta lines and
@@ -410,36 +381,24 @@ fn field<'a>(pairs: &'a [(String, String)], key: &str) -> Option<&'a str> {
 /// are verified first: a corrupt line is an error naming the damage,
 /// never silently admitted into a comparison; legacy unframed files
 /// remain accepted.
-pub fn parse_bench_file(text: &str) -> Result<Vec<BenchEntry>, String> {
+pub fn parse_bench_file(text: &str) -> Result<Vec<BenchEntry>, FlatError> {
     let mut entries = Vec::new();
-    for (no, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
+    for rec in records(text) {
+        let rec = rec?;
+        if rec.opt_str("record")? != Some("bench") {
             continue;
         }
-        let line = vtq::jsonl::check_line(line).map_err(|e| format!("line {}: {e}", no + 1))?;
-        let pairs =
-            parse_flat_line(&line).ok_or_else(|| format!("line {}: malformed JSON", no + 1))?;
-        if field(&pairs, "record") != Some("bench") {
-            continue;
-        }
-        let num = |key: &str| {
-            field(&pairs, key)
-                .and_then(|v| v.parse::<u64>().ok())
-                .ok_or_else(|| format!("line {}: bad {key}", no + 1))
-        };
         entries.push(BenchEntry {
-            kind: field(&pairs, "kind").unwrap_or("micro").to_string(),
-            name: field(&pairs, "name")
-                .ok_or_else(|| format!("line {}: missing name", no + 1))?
-                .to_string(),
-            trials: num("trials")?,
-            iters: num("iters")?,
-            median_ns: num("median_ns")?,
-            mad_ns: num("mad_ns")?,
+            kind: rec.opt_str("kind")?.unwrap_or("micro").to_string(),
+            name: rec.str("name")?.to_string(),
+            trials: rec.u64("trials")?,
+            iters: rec.u64("iters")?,
+            median_ns: rec.u64("median_ns")?,
+            mad_ns: rec.u64("mad_ns")?,
         });
     }
     if entries.is_empty() {
-        return Err("no bench records".to_string());
+        return Err(FlatError::new(0, "no bench records"));
     }
     Ok(entries)
 }
@@ -558,7 +517,7 @@ pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
     };
     let old = match fs::read_to_string(&baseline)
         .map_err(|e| e.to_string())
-        .and_then(|text| parse_bench_file(&text))
+        .and_then(|text| parse_bench_file(&text).map_err(|e| e.to_string()))
     {
         Ok(old) => old,
         Err(e) => {
@@ -661,9 +620,9 @@ mod tests {
         let doctored: String = text
             .lines()
             .map(|l| {
-                let payload = vtq::jsonl::check_line(l).expect("framed line");
+                let payload = gpusim::frames::check_line(l).expect("framed line");
                 let payload = payload.replace("\"median_ns\":123", "\"median_ns\":99123");
-                format!("{}\n", vtq::jsonl::frame_line(&payload))
+                format!("{}\n", gpusim::frames::frame_line(&payload))
             })
             .collect();
         assert_eq!(parse_bench_file(&doctored).unwrap()[0].median_ns, 99_123);

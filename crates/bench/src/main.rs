@@ -21,6 +21,7 @@
 
 use std::process::ExitCode;
 
+use gpusim::frames::{frame_lines, quote};
 use vtq_bench::{commands, HarnessOpts, EXIT_INTERRUPTED, EXIT_USAGE, USAGE_OPTIONS};
 
 /// With `--features count-allocs`, the whole binary allocates through
@@ -61,6 +62,34 @@ fn install_sigint_drain() {
 
 #[cfg(not(unix))]
 fn install_sigint_drain() {}
+
+/// Renders `prof.jsonl`: the provenance header, one `prof_span` record
+/// per span and one `prof_counter` record per nonzero counter, every line
+/// checksum-framed like every other persisted artifact.
+fn prof_jsonl(snap: &vtq::prof::ProfSnapshot) -> String {
+    let mut lines = vec![vtq::provenance::provenance_line(None, None)];
+    for s in &snap.spans {
+        lines.push(format!(
+            "{{\"record\":\"prof_span\",\"path\":{},\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
+            quote(&s.path),
+            s.count,
+            s.total_ns,
+            s.self_ns
+        ));
+    }
+    for c in snap.counters.iter().filter(|c| c.value > 0) {
+        let rate = match snap.elapsed_ns {
+            0 => "null".to_string(),
+            ns => format!("{:.3}", c.value as f64 * 1e9 / ns as f64),
+        };
+        lines.push(format!(
+            "{{\"record\":\"prof_counter\",\"name\":{},\"value\":{},\"per_sec\":{rate}}}",
+            quote(c.name),
+            c.value
+        ));
+    }
+    frame_lines(lines)
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -106,17 +135,8 @@ fn main() -> ExitCode {
         eprintln!("\n[prof] host-side profile:\n{}", snap.summary());
         if let Some(dir) = &opts.out {
             let path = dir.join("prof.jsonl");
-            // Checksum-frame every line and publish durably (temp file +
-            // fsync + rename), like every other persisted artifact.
-            let mut body = format!(
-                "{}\n",
-                vtq::jsonl::frame_line(&vtq::provenance::provenance_line(None, None))
-            );
-            for line in snap.to_jsonl().lines() {
-                body.push_str(&vtq::jsonl::frame_line(line));
-                body.push('\n');
-            }
-            if let Err(e) = vtq::diskfault::write_file_durable(&path, body.as_bytes()) {
+            if let Err(e) = vtq::diskfault::write_file_durable(&path, prof_jsonl(&snap).as_bytes())
+            {
                 eprintln!("[prof] cannot write {}: {e}", path.display());
             } else {
                 eprintln!("[prof] snapshot in {}", path.display());
@@ -146,4 +166,27 @@ fn main() -> ExitCode {
         return ExitCode::from(EXIT_INTERRUPTED);
     }
     ExitCode::from(code)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpusim::frames::records;
+    use vtq::prof::{CounterReport, ProfSnapshot, SpanReport};
+
+    #[test]
+    fn prof_jsonl_is_framed_flat_records() {
+        let span = SpanReport { path: "a/\"q\"".into(), count: 2, total_ns: 10, self_ns: 4 };
+        let counters = vec![
+            CounterReport { name: "bytes_exported", value: 4096 },
+            CounterReport { name: "rays_traced", value: 0 },
+        ];
+        let snap = ProfSnapshot { spans: vec![span], counters, elapsed_ns: 2_000_000_000 };
+        let body = prof_jsonl(&snap);
+        assert!(body.lines().all(gpusim::frames::is_framed), "{body}");
+        let recs: Vec<_> = records(&body).map(|r| r.expect("flat record")).collect();
+        assert_eq!(recs.len(), 3, "header, one span, one nonzero counter: {body}");
+        assert_eq!(recs[1].str("path").unwrap(), "a/\"q\"");
+        assert_eq!(recs[2].f64("per_sec").unwrap(), 2048.0);
+    }
 }

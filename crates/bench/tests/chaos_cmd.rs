@@ -31,8 +31,8 @@ fn quick_campaign_recovers_every_fault_and_exports_framed_outcomes() {
     let mut scenarios = 0;
     let mut summary = None;
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
-        assert!(vtq::jsonl::is_framed(line), "unframed line in chaos.jsonl: {line}");
-        let payload = vtq::jsonl::check_line(line).expect("every line passes its checksum");
+        assert!(gpusim::frames::is_framed(line), "unframed line in chaos.jsonl: {line}");
+        let payload = gpusim::frames::check_line(line).expect("every line passes its checksum");
         if payload.contains("\"record\":\"chaos_scenario\"") {
             scenarios += 1;
             assert!(payload.contains("\"ok\":1"), "violating scenario exported: {payload}");

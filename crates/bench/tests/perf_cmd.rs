@@ -77,7 +77,7 @@ fn perf_command_enforces_the_exit_code_contract() {
     let doctored: String = text
         .lines()
         .map(|l| {
-            let mut line = vtq::jsonl::check_line(l).expect("framed baseline line");
+            let mut line = gpusim::frames::check_line(l).expect("framed baseline line");
             if !line.contains("\"record\":\"bench\"") {
                 return format!("{l}\n");
             }
@@ -89,7 +89,7 @@ fn perf_command_enforces_the_exit_code_contract() {
                 let new = if key.starts_with("\"median") { (v / 100).max(1) } else { 0 };
                 line.replace_range(at..end, &new.to_string());
             }
-            format!("{}\n", vtq::jsonl::frame_line(&line))
+            format!("{}\n", gpusim::frames::frame_line(&line))
         })
         .collect();
     let fast = dir.join("fast-baseline.json");

@@ -35,6 +35,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
+use gpusim::frames::{check_line, frame_lines, quote, records, FlatError};
 use gpusim::{
     HitCapture, PathTask, PredictParams, TraceCall, TraversalPolicy, VtqParams, Workload,
     TRACE_T_MIN,
@@ -641,130 +642,79 @@ pub fn current_goldens(
 }
 
 // ---------------------------------------------------------------------------
-// Golden persistence (hand-rolled flat JSON, snapshot_jsonl style)
+// Golden persistence (flat JSONL through `gpusim::frames`)
 // ---------------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// Serializes a golden figure to its JSONL file content: the shared
 /// provenance header, a meta line, then one line per entry (flat
 /// objects, lexical diff friendly). Every line is checksum-framed
-/// ([`crate::jsonl::frame_line`]); legacy unframed snapshots are still
-/// parseable.
+/// ([`frame_lines`]); legacy unframed snapshots are still parseable.
 pub fn golden_jsonl(g: &GoldenFigure) -> String {
-    let frame = crate::jsonl::frame_line;
-    let mut out =
-        format!("{}\n", frame(&crate::provenance::provenance_line(Some(g.fingerprint), None)));
-    out.push_str(&frame(&format!(
-        "{{\"record\":\"golden_meta\",\"figure\":\"{}\",\"fingerprint\":\"{:#018x}\",\
-         \"scenes\":\"{}\"}}",
-        json_escape(&g.figure),
-        g.fingerprint,
-        json_escape(&g.scenes.join(",")),
-    )));
-    out.push('\n');
-    for e in &g.entries {
-        out.push_str(&frame(&format!(
-            "{{\"record\":\"golden_entry\",\"key\":\"{}\",\"value\":{},\"tol\":{},\"rel\":{}}}",
-            json_escape(&e.key),
+    let head = [
+        crate::provenance::provenance_line(Some(g.fingerprint), None),
+        format!(
+            "{{\"record\":\"golden_meta\",\"figure\":{},\"fingerprint\":\"{:#018x}\",\"scenes\":{}}}",
+            quote(&g.figure),
+            g.fingerprint,
+            quote(&g.scenes.join(",")),
+        ),
+    ];
+    frame_lines(head.into_iter().chain(g.entries.iter().map(|e| {
+        format!(
+            "{{\"record\":\"golden_entry\",\"key\":{},\"value\":{},\"tol\":{},\"rel\":{}}}",
+            quote(&e.key),
             e.value,
             e.tol,
             e.rel,
-        )));
-        out.push('\n');
-    }
-    out
-}
-
-/// Splits one flat JSON object (no nesting) into raw `key -> value`
-/// pairs, the same hand-rolled approach as `gpusim`'s snapshot parser.
-fn parse_flat_line(line: &str) -> Option<Vec<(String, String)>> {
-    let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut pairs = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        rest = rest.trim_start_matches(',');
-        let (key, after) = {
-            let r = rest.trim_start().strip_prefix('"')?;
-            let end = r.find('"')?;
-            (r[..end].to_string(), r[end + 1..].trim_start().strip_prefix(':')?)
-        };
-        let after = after.trim_start();
-        let (value, remainder) = if let Some(r) = after.strip_prefix('"') {
-            let end = r.find('"')?;
-            (r[..end].to_string(), &r[end + 1..])
-        } else {
-            let end = after.find(',').unwrap_or(after.len());
-            (after[..end].trim().to_string(), &after[end..])
-        };
-        pairs.push((key, value));
-        rest = remainder;
-    }
-    Some(pairs)
-}
-
-fn field<'a>(pairs: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+        )
+    })))
 }
 
 /// Parses [`golden_jsonl`] output back into a [`GoldenFigure`].
 ///
 /// # Errors
 ///
-/// A description of the first malformed line.
-pub fn parse_golden_jsonl(text: &str) -> Result<GoldenFigure, String> {
+/// The first malformed line or field.
+pub fn parse_golden_jsonl(text: &str) -> Result<GoldenFigure, FlatError> {
     let mut figure: Option<GoldenFigure> = None;
-    for (no, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let line = crate::jsonl::check_line(line).map_err(|e| format!("line {}: {e}", no + 1))?;
-        let pairs =
-            parse_flat_line(&line).ok_or_else(|| format!("line {}: malformed JSON", no + 1))?;
-        match field(&pairs, "record") {
+    for rec in records(text) {
+        let rec = rec?;
+        match rec.str("record")? {
             // The shared artifact-provenance header: carries build
             // metadata, not golden data, so it is validated elsewhere
             // (config fingerprints compare via golden_meta) and skipped
             // here. Pre-stamp snapshots simply lack the line.
-            Some(crate::provenance::PROVENANCE_RECORD) => {}
-            Some("golden_meta") => {
-                let fp = field(&pairs, "fingerprint")
-                    .and_then(|v| u64::from_str_radix(v.trim_start_matches("0x"), 16).ok())
-                    .ok_or_else(|| format!("line {}: bad fingerprint", no + 1))?;
+            crate::provenance::PROVENANCE_RECORD => {}
+            "golden_meta" => {
                 figure = Some(GoldenFigure {
-                    figure: field(&pairs, "figure").unwrap_or("?").to_string(),
-                    fingerprint: fp,
-                    scenes: field(&pairs, "scenes")
-                        .map(|s| {
-                            s.split(',').filter(|p| !p.is_empty()).map(str::to_string).collect()
-                        })
-                        .unwrap_or_default(),
+                    figure: rec.str("figure")?.to_string(),
+                    fingerprint: rec.str_with("fingerprint", |v| {
+                        u64::from_str_radix(v.trim_start_matches("0x"), 16)
+                            .map_err(|_| format!("bad fingerprint `{v}`"))
+                    })?,
+                    scenes: rec
+                        .str("scenes")?
+                        .split(',')
+                        .filter(|p| !p.is_empty())
+                        .map(str::to_string)
+                        .collect(),
                     entries: Vec::new(),
                 });
             }
-            Some("golden_entry") => {
+            "golden_entry" => {
                 let fig =
-                    figure.as_mut().ok_or_else(|| format!("line {}: entry before meta", no + 1))?;
-                let parse_f64 = |key: &str| {
-                    field(&pairs, key)
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .ok_or_else(|| format!("line {}: bad {key}", no + 1))
-                };
+                    figure.as_mut().ok_or_else(|| rec.error("record", "entry before meta"))?;
                 fig.entries.push(GoldenEntry {
-                    key: field(&pairs, "key")
-                        .ok_or_else(|| format!("line {}: missing key", no + 1))?
-                        .to_string(),
-                    value: parse_f64("value")?,
-                    tol: parse_f64("tol")?,
-                    rel: field(&pairs, "rel") == Some("true"),
+                    key: rec.str("key")?.to_string(),
+                    value: rec.f64("value")?,
+                    tol: rec.f64("tol")?,
+                    rel: rec.bool("rel")?,
                 });
             }
-            other => return Err(format!("line {}: unknown record {other:?}", no + 1)),
+            other => return Err(rec.error("record", format!("unknown record {other:?}"))),
         }
     }
-    figure.ok_or_else(|| "no golden_meta record".to_string())
+    figure.ok_or_else(|| FlatError::new(0, "no golden_meta record"))
 }
 
 /// Writes each figure's snapshot to `dir/<figure>.json`, creating `dir`.
@@ -847,7 +797,7 @@ pub fn check_golden(dir: &Path, current: &GoldenFigure) -> GoldenOutcome {
         if line.trim().is_empty() {
             continue;
         }
-        if let Err(e) = crate::jsonl::check_line(line) {
+        if let Err(e) = check_line(line) {
             return GoldenOutcome::Corrupt(format!(
                 "{}: line {}: {e} — restore the snapshot from version control or \
                  regenerate it with --update-golden",

@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use gpusim::frames::{frame_line, frame_lines, quote, records, FlatError, FlatRecord};
 use gpusim::{
     AuditMode, GpuConfig, PathTask, Sabotage, SimError, SimReport, Simulator, TraceCall,
     TraversalPolicy, VtqParams, Workload,
@@ -212,7 +213,7 @@ struct JournalInner {
 const JOURNAL_SYNC_EVERY: u32 = 8;
 
 /// Append-only journal of sweep-cell dispositions, one flat-JSON record
-/// per line (checksum-framed via [`crate::jsonl::frame_line`]), flushed
+/// per line (checksum-framed via [`frame_line`]), flushed
 /// after every write so a `kill -9` loses at most the cell that was in
 /// flight, and fsynced every few records so power loss is bounded too.
 #[derive(Debug)]
@@ -255,8 +256,8 @@ impl SweepJournal {
     /// then reports so the engine can skip them.
     ///
     /// Recovery policy: the journal is valid up to the first torn or
-    /// corrupt line (a record missing its newline, failing its
-    /// [`crate::jsonl::check_line`] checksum, or a `cell` record whose
+    /// corrupt line (a record missing its newline, not one complete
+    /// [`FlatRecord`] passing its checksum, or a `cell` record whose
     /// key/status cannot be parsed). Everything from that line on is
     /// physically truncated — with a forensic warning on stderr — so the
     /// affected cells simply re-run: exactly-once is preserved because
@@ -338,7 +339,7 @@ impl SweepJournal {
     }
 
     /// Appends one checksum-framed cell record, flushes it, and
-    /// `sync_data`s every [`JOURNAL_SYNC_EVERY`] records. Faults from
+    /// `sync_data`s every `JOURNAL_SYNC_EVERY` records. Faults from
     /// the [`crate::diskfault`] shim land here when armed.
     pub fn record(
         &self,
@@ -350,10 +351,10 @@ impl SweepJournal {
         let mut inner = self.inner.lock().unwrap();
         let line = format!(
             "{{\"record\":\"cell\",\"key\":{},\"status\":\"{}\",\"retries\":{},\"detail\":{}}}",
-            json_quote(key),
+            quote(key),
             disposition.label(),
             retries,
-            json_quote(detail),
+            quote(detail),
         );
         let framed = format!("{}\n", frame_line(&line));
         crate::diskfault::guarded_write(&mut inner.file, framed.as_bytes())?;
@@ -375,11 +376,10 @@ impl SweepJournal {
         // session record. A journal spans a whole run matrix, so it has
         // no single config fingerprint or seed; resume() skips both
         // lines (it only replays "cell" records).
-        let line = format!(
-            "{}\n{}\n",
-            frame_line(&crate::provenance::provenance_line(None, None)),
-            frame_line(&format!("{{\"record\":\"journal\",\"version\":1,\"mode\":\"{mode}\"}}")),
-        );
+        let line = frame_lines([
+            crate::provenance::provenance_line(None, None),
+            format!("{{\"record\":\"journal\",\"version\":1,\"mode\":{}}}", quote(mode)),
+        ]);
         inner.file.write_all(line.as_bytes())?;
         inner.file.flush()?;
         inner.file.get_ref().sync_data()
@@ -389,8 +389,9 @@ impl SweepJournal {
 /// Scans journal `text` line by line, accumulating `done` keys, and
 /// returns the byte offset of the end of the last fully-valid line plus
 /// a description of what stopped the scan (if anything did). A line is
-/// valid when it is newline-terminated, passes the checksum frame, and
-/// — for `cell` records — yields a parseable key and status.
+/// valid when it is newline-terminated and one complete flat record that
+/// passes its checksum frame, and — for `cell` records — has a string key
+/// and status.
 fn scan_journal(text: &str, done: &mut HashSet<String>) -> (usize, Option<String>) {
     let mut good_end = 0usize;
     for raw in text.split_inclusive('\n') {
@@ -402,28 +403,22 @@ fn scan_journal(text: &str, done: &mut HashSet<String>) -> (usize, Option<String
             good_end += raw.len();
             continue;
         }
-        let payload = match check_line(line) {
-            Ok(payload) => payload,
+        let rec = match FlatRecord::parse(line) {
+            Ok(rec) => rec,
             Err(e) => return (good_end, Some(e.to_string())),
         };
-        if json_str_field(&payload, "record").as_deref() == Some("cell") {
-            let (Some(key), Some(status)) =
-                (json_str_field(&payload, "key"), json_str_field(&payload, "status"))
-            else {
+        if rec.opt_str("record") == Ok(Some("cell")) {
+            let (Ok(key), Ok(status)) = (rec.str("key"), rec.str("status")) else {
                 return (good_end, Some("cell record with unparseable key/status".to_string()));
             };
             if status == CellDisposition::Done.label() {
-                done.insert(key);
+                done.insert(key.to_string());
             }
         }
         good_end += raw.len();
     }
     (good_end, None)
 }
-
-// The flat-JSONL primitives live in [`crate::jsonl`] (shared with the
-// serve protocol); these local names keep the journal/repro code terse.
-use crate::jsonl::{check_line, frame_line, json_quote, json_str_field};
 
 // ---------------------------------------------------------------------------
 // Delta-debugging shrinker
@@ -668,7 +663,7 @@ impl Repro {
                 Some(s) => format!("{}:{}", s.at_cycle, s.queue_total_delta),
                 None => "-".to_string(),
             },
-            json_quote(&self.error_kind),
+            quote(&self.error_kind),
             self.workload.tasks.len(),
         ));
         for task in &self.workload.tasks {
@@ -683,130 +678,123 @@ impl Repro {
     }
 
     /// Parses a reproducer serialized by [`to_jsonl`](Self::to_jsonl).
-    pub fn from_jsonl(text: &str) -> Result<Repro, String> {
-        let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines.next().ok_or("empty reproducer file")?;
-        if json_str_field(header, "record").as_deref() != Some("repro") {
-            return Err("first record is not a `repro` header".to_string());
+    ///
+    /// # Errors
+    ///
+    /// The first malformed line or field, a version skew, or a
+    /// truncated file.
+    pub fn from_jsonl(text: &str) -> Result<Repro, FlatError> {
+        let mut lines = records(text);
+        let h = lines.next().ok_or_else(|| FlatError::new(0, "empty reproducer file"))??;
+        if h.opt_str("record")? != Some("repro") {
+            return Err(h.error("record", "first record is not a `repro` header"));
         }
-        let version: u32 = field_int(header, "version")?;
+        let u32_of = |key: &str| {
+            u32::try_from(h.u64(key)?).map_err(|_| h.error(key, format!("`{key}` out of range")))
+        };
+        let version = u32_of("version")?;
         if version != REPRO_VERSION {
-            return Err(format!(
-                "unsupported reproducer version {version} (expected {REPRO_VERSION})"
+            return Err(h.error(
+                "version",
+                format!("unsupported reproducer version {version} (expected {REPRO_VERSION})"),
             ));
         }
 
-        let scene_name = field_str(header, "scene")?;
-        let scene = SceneId::ALL_WITH_EXTRAS
-            .into_iter()
-            .find(|s| s.name() == scene_name)
-            .ok_or_else(|| format!("unknown scene `{scene_name}`"))?;
-        let detail_divisor: u32 = field_int(header, "detail_divisor")?;
-        let treelet_bytes: u32 = field_int(header, "treelet_bytes")?;
+        let scene = h.str_with("scene", |name| {
+            SceneId::ALL_WITH_EXTRAS
+                .into_iter()
+                .find(|s| s.name() == name)
+                .ok_or_else(|| format!("unknown scene `{name}`"))
+        })?;
+        let detail_divisor = u32_of("detail_divisor")?;
+        let treelet_bytes = u32_of("treelet_bytes")?;
 
-        let base_name = field_str(header, "gpu_base")?;
-        let mut gpu =
-            gpu_base_config(&base_name).ok_or_else(|| format!("unknown gpu base `{base_name}`"))?;
-        gpu.mem.num_sms = field_int(header, "num_sms")?;
-        gpu.max_cycles = match field_str(header, "max_cycles")?.as_str() {
-            "-" => None,
-            c => Some(c.parse().map_err(|_| format!("bad max_cycles `{c}`"))?),
-        };
-        gpu.audit = match field_str(header, "audit")?.as_str() {
-            "auto" => AuditMode::Auto,
-            "off" => AuditMode::Off,
-            other => match other.strip_prefix("every:") {
-                Some(n) => {
-                    AuditMode::Every(n.parse().map_err(|_| format!("bad audit interval `{n}`"))?)
-                }
-                None => return Err(format!("bad audit mode `{other}`")),
-            },
-        };
-        let jitter = field_str(header, "jitter")?;
-        let (jc, js) = jitter.split_once(':').ok_or_else(|| format!("bad jitter `{jitter}`"))?;
-        gpu.sched_jitter_cycles = jc.parse().map_err(|_| format!("bad jitter `{jitter}`"))?;
-        gpu.sched_jitter_seed = js.parse().map_err(|_| format!("bad jitter `{jitter}`"))?;
-        let faults = field_str(header, "faults")?;
-        let ftoks: Vec<&str> = faults.split(':').collect();
-        if ftoks.len() != 4 {
-            return Err(format!("bad faults `{faults}`"));
-        }
-        gpu.mem.faults.spike_per_mille =
-            ftoks[0].parse().map_err(|_| format!("bad faults `{faults}`"))?;
-        gpu.mem.faults.spike_extra_cycles =
-            ftoks[1].parse().map_err(|_| format!("bad faults `{faults}`"))?;
-        gpu.mem.faults.bandwidth_divisor =
-            ftoks[2].parse().map_err(|_| format!("bad faults `{faults}`"))?;
-        gpu.mem.faults.seed = ftoks[3].parse().map_err(|_| format!("bad faults `{faults}`"))?;
+        let mut gpu = h.str_with("gpu_base", |name| {
+            gpu_base_config(name).ok_or_else(|| format!("unknown gpu base `{name}`"))
+        })?;
+        gpu.mem.num_sms = h.u64("num_sms")? as usize;
+        gpu.max_cycles = h.str_with("max_cycles", |c| match c {
+            "-" => Ok(None),
+            c => c.parse().map(Some).map_err(|_| format!("bad max_cycles `{c}`")),
+        })?;
+        gpu.audit = h.str_with("audit", |a| match a {
+            "auto" => Ok(AuditMode::Auto),
+            "off" => Ok(AuditMode::Off),
+            other => other
+                .strip_prefix("every:")
+                .and_then(|n| n.parse().ok())
+                .map(AuditMode::Every)
+                .ok_or_else(|| format!("bad audit mode `{other}`")),
+        })?;
+        (gpu.sched_jitter_cycles, gpu.sched_jitter_seed) = h.str_with("jitter", |j| {
+            let [c, s] = colon_fields(j)?;
+            Ok((num(c)?, num(s)?))
+        })?;
+        let f = &mut gpu.mem.faults;
+        (f.spike_per_mille, f.spike_extra_cycles, f.bandwidth_divisor, f.seed) =
+            h.str_with("faults", |faults| {
+                let [spike, extra, divisor, seed] = colon_fields(faults)?;
+                Ok((num(spike)?, num(extra)?, num(divisor)?, num(seed)?))
+            })?;
 
-        let policy = field_str(header, "policy")?;
-        let vtq = field_str(header, "vtq")?;
-        gpu.policy = match policy.as_str() {
-            "baseline" => TraversalPolicy::Baseline,
-            "prefetch" => TraversalPolicy::TreeletPrefetch,
+        let vtq = h.str("vtq")?;
+        gpu.policy = h.str_with("policy", |policy| match policy {
+            "baseline" => Ok(TraversalPolicy::Baseline),
+            "prefetch" => Ok(TraversalPolicy::TreeletPrefetch),
             "vtq" => {
-                let t: Vec<&str> = vtq.split(':').collect();
-                if t.len() != 9 {
-                    return Err(format!("bad vtq params `{vtq}`"));
-                }
-                let bad = |_| format!("bad vtq params `{vtq}`");
-                TraversalPolicy::Vtq(VtqParams {
-                    max_virtual_rays: t[0].parse().map_err(bad)?,
-                    divergence_treelets: t[1].parse().map_err(bad)?,
-                    queue_threshold: t[2].parse().map_err(bad)?,
-                    repack_threshold: t[3].parse().map_err(bad)?,
+                let t: [&str; 9] = colon_fields(vtq)?;
+                Ok(TraversalPolicy::Vtq(VtqParams {
+                    max_virtual_rays: num(t[0])?,
+                    divergence_treelets: num(t[1])?,
+                    queue_threshold: num(t[2])?,
+                    repack_threshold: num(t[3])?,
                     preload: t[4] == "1",
                     group_underpopulated: t[5] == "1",
                     charge_virtualization: t[6] == "1",
-                    count_table_entries: t[7].parse().map_err(bad)?,
-                    queue_table_entries: t[8].parse().map_err(bad)?,
-                })
+                    count_table_entries: num(t[7])?,
+                    queue_table_entries: num(t[8])?,
+                }))
             }
-            other => return Err(format!("unknown policy `{other}`")),
-        };
+            other => Err(format!("unknown policy `{other}`")),
+        })?;
 
-        let sabotage = match field_str(header, "sabotage")?.as_str() {
-            "-" => None,
-            s => {
-                let (c, d) = s.split_once(':').ok_or_else(|| format!("bad sabotage `{s}`"))?;
-                Some(Sabotage {
-                    at_cycle: c.parse().map_err(|_| format!("bad sabotage `{s}`"))?,
-                    queue_total_delta: d.parse().map_err(|_| format!("bad sabotage `{s}`"))?,
-                })
+        let sabotage = h.str_with("sabotage", |s| {
+            if s == "-" {
+                return Ok(None);
             }
-        };
-        let error_kind = field_str(header, "error_kind")?;
-        let task_count: usize = field_int(header, "tasks")?;
+            let [at_cycle, delta] = colon_fields(s)?;
+            Ok(Some(Sabotage { at_cycle: num(at_cycle)?, queue_total_delta: num(delta)? }))
+        })?;
+        let error_kind = h.str("error_kind")?.to_string();
+        let task_count = h.u64("tasks")? as usize;
 
-        let mut tasks = Vec::with_capacity(task_count);
+        let mut tasks = Vec::new();
         let mut ended = false;
-        for (i, line) in lines {
-            match json_str_field(line, "record").as_deref() {
-                Some("repro_task") => {
-                    if ended {
-                        return Err(format!("line {}: data after `repro_end`", i + 1));
-                    }
-                    let blob = field_str(line, "rays")?;
-                    let rays: Result<Vec<TraceCall>, String> = blob
-                        .split_whitespace()
-                        .map(|tok| {
-                            parse_ray_blob(tok)
-                                .ok_or_else(|| format!("line {}: bad ray `{tok}`", i + 1))
-                        })
-                        .collect();
-                    tasks.push(PathTask { rays: rays? });
+        for rec in lines {
+            let rec = rec?;
+            match rec.opt_str("record")? {
+                Some("repro_task") if !ended => {
+                    let rays = rec.str_with("rays", |blob| {
+                        blob.split_whitespace()
+                            .map(|tok| {
+                                parse_ray_blob(tok).ok_or_else(|| format!("bad ray `{tok}`"))
+                            })
+                            .collect()
+                    })?;
+                    tasks.push(PathTask { rays });
                 }
+                Some("repro_task") => return Err(rec.error("record", "data after `repro_end`")),
                 Some("repro_end") => ended = true,
-                other => return Err(format!("line {}: unexpected record {:?}", i + 1, other)),
+                other => return Err(rec.error("record", format!("unexpected record {other:?}"))),
             }
         }
         if !ended {
-            return Err("truncated reproducer: no `repro_end` record".to_string());
+            return Err(FlatError::new(0, "truncated reproducer: no `repro_end` record"));
         }
         if tasks.len() != task_count {
-            return Err(format!(
-                "header declared {task_count} tasks but {} records followed",
-                tasks.len()
+            return Err(FlatError::new(
+                0,
+                format!("header declared {task_count} tasks but {} records followed", tasks.len()),
             ));
         }
 
@@ -839,6 +827,16 @@ impl Repro {
     }
 }
 
+/// Splits `s` into exactly `N` colon-separated tokens.
+fn colon_fields<const N: usize>(s: &str) -> Result<[&str; N], String> {
+    let tokens: Vec<&str> = s.split(':').collect();
+    tokens.try_into().map_err(|_| format!("expected {N} `:`-separated values in `{s}`"))
+}
+
+fn num<T: std::str::FromStr>(token: &str) -> Result<T, String> {
+    token.parse().map_err(|_| format!("bad number `{token}`"))
+}
+
 /// One ray as eleven colon-separated tokens: origin, direction and
 /// cached inverse direction as `f32` bit patterns, then `t_max` bits and
 /// the any-hit flag. Bit patterns make the round trip exact for every
@@ -862,10 +860,7 @@ fn ray_blob(call: &TraceCall) -> String {
 }
 
 fn parse_ray_blob(tok: &str) -> Option<TraceCall> {
-    let words: Vec<&str> = tok.split(':').collect();
-    if words.len() != 11 {
-        return None;
-    }
+    let words: [&str; 11] = colon_fields(tok).ok()?;
     let mut bits = [0u32; 10];
     for (slot, word) in bits.iter_mut().zip(&words[..10]) {
         *slot = word.parse().ok()?;
@@ -876,16 +871,13 @@ fn parse_ray_blob(tok: &str) -> Option<TraceCall> {
     // Restore the cached inverse exactly as recorded rather than trusting
     // the reconstruction — bit-exactness must not depend on `recip()`.
     ray.inv_dir = rtmath::Vec3::new(f(6), f(7), f(8));
-    let anyhit = match *words.last().unwrap() {
+    let anyhit = match words[10] {
         "0" => false,
         "1" => true,
         _ => return None,
     };
     Some(TraceCall { ray, t_max: f32::from_bits(bits[9]), anyhit })
 }
-
-use crate::jsonl::json_int_field as field_int;
-use crate::jsonl::json_str_field_required as field_str;
 
 // ---------------------------------------------------------------------------
 // High-level shrink driver
@@ -996,16 +988,6 @@ mod tests {
         assert!(cancel_requested());
         reset_cancel();
         assert!(!cancel_requested());
-    }
-
-    #[test]
-    fn json_quote_escapes_and_scans_back() {
-        let nasty = "a \"b\"\\c\nd\te\u{1}";
-        let line =
-            format!("{{\"record\":\"cell\",\"key\":{},\"status\":\"done\"}}", json_quote(nasty));
-        assert_eq!(json_str_field(&line, "key").as_deref(), Some(nasty));
-        assert_eq!(json_str_field(&line, "status").as_deref(), Some("done"));
-        assert_eq!(json_str_field(&line, "missing"), None);
     }
 
     #[test]
@@ -1196,17 +1178,17 @@ mod tests {
 
         let torn = text.replace("{\"record\":\"repro_end\"}\n", "");
         let err = Repro::from_jsonl(&torn).expect_err("truncated dump");
-        assert!(err.contains("truncated"), "got: {err}");
+        assert!(err.to_string().contains("truncated"), "got: {err}");
 
         let skewed = text.replacen("\"version\":1", "\"version\":9", 1);
         let err = Repro::from_jsonl(&skewed).expect_err("version skew");
-        assert!(err.contains("version"), "got: {err}");
+        assert!(err.to_string().contains("version"), "got: {err}");
 
         let err = Repro::from_jsonl("").expect_err("empty");
-        assert!(err.contains("empty"), "got: {err}");
+        assert!(err.to_string().contains("empty"), "got: {err}");
 
         let wrong_count = text.replacen("\"tasks\":1", "\"tasks\":2", 1);
         let err = Repro::from_jsonl(&wrong_count).expect_err("count mismatch");
-        assert!(err.contains("declared"), "got: {err}");
+        assert!(err.to_string().contains("declared"), "got: {err}");
     }
 }

@@ -10,7 +10,7 @@
 //! `Ok` or with a *typed* [`SimError`] that matches the fault's expected
 //! failure mode; and control cells (no perturbation) complete cleanly.
 //!
-//! Cells execute on the [`SweepEngine`](crate::sweep::SweepEngine) with
+//! Cells execute on the [`SweepEngine`] with
 //! per-cell panic isolation and a bounded retry loop that doubles the
 //! cycle budget on [`SimError::CycleBudget`] trips.
 

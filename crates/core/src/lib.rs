@@ -40,9 +40,6 @@
 //!   resume without re-running completed cells, and a delta-debugging
 //!   shrinker that reduces a failing cell to a replayable minimal
 //!   reproducer,
-//! * [`jsonl`] — the flat-JSONL primitives plus the artifact-integrity
-//!   frame: every durable line carries a CRC32, parsers reject
-//!   mismatches as typed `CorruptFrame` errors,
 //! * [`diskfault`] — the durable-write discipline (unique temp files,
 //!   fsync, atomic rename) and a seeded disk-fault injection shim
 //!   (torn write, bit flip, ENOSPC, failed rename, short read) that
@@ -72,7 +69,6 @@ pub mod durable;
 pub mod experiment;
 pub mod faults;
 pub mod general;
-pub mod jsonl;
 pub mod provenance;
 pub mod reorder;
 pub mod sweep;

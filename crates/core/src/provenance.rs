@@ -11,14 +11,15 @@
 //!  "config_fingerprint":"0x00000000deadbeef","seed":42}
 //! ```
 //!
-//! `config_fingerprint` is the policy-normalized [`config_fingerprint`]
-//! (crate::sweep::config_fingerprint) of the run's [`ExperimentConfig`]
-//! (crate::ExperimentConfig); it and `seed` are `null` for artifacts that
-//! span many configurations (e.g. a sweep journal covering a whole
-//! matrix). Readers built on the workspace's flat-line parsers skip the
-//! record by its `"record"` discriminant, so stamped files stay readable
-//! by pre-stamp parsers that ignore unknown records — and the strict
-//! parsers (golden snapshots) were taught to accept it.
+//! `config_fingerprint` is the policy-normalized
+//! [`config_fingerprint`](crate::sweep::config_fingerprint) of the run's
+//! [`ExperimentConfig`](crate::ExperimentConfig); it and `seed` are
+//! `null` for artifacts that span many configurations (e.g. a sweep
+//! journal covering a whole matrix). Readers parse the line with
+//! [`gpusim::frames::FlatRecord`] like any other record and skip it by
+//! its `"record"` discriminant.
+
+use gpusim::frames::quote;
 
 /// Value of the `"record"` field identifying a provenance header line.
 pub const PROVENANCE_RECORD: &str = "provenance";
@@ -41,20 +42,15 @@ pub fn provenance_line(config_fingerprint: Option<u64>, seed: Option<u64>) -> St
     };
     format!(
         "{{\"record\":\"{PROVENANCE_RECORD}\",\"version\":{PROVENANCE_VERSION},\
-         \"crate_version\":\"{}\",\"config_fingerprint\":{fingerprint},\"seed\":{seed}}}",
-        env!("CARGO_PKG_VERSION"),
+         \"crate_version\":{},\"config_fingerprint\":{fingerprint},\"seed\":{seed}}}",
+        quote(env!("CARGO_PKG_VERSION")),
     )
-}
-
-/// `true` if a JSONL line is a provenance header (cheap check for
-/// parsers that want to skip it without a full parse).
-pub fn is_provenance_line(line: &str) -> bool {
-    line.trim_start().starts_with("{\"record\":\"provenance\"")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpusim::frames::FlatRecord;
 
     #[test]
     fn header_shape_is_stable() {
@@ -67,7 +63,8 @@ mod tests {
                 env!("CARGO_PKG_VERSION")
             )
         );
-        assert!(is_provenance_line(&line));
+        let rec = FlatRecord::parse(&line).expect("header is one flat record");
+        assert_eq!(rec.str("record").unwrap(), PROVENANCE_RECORD);
         assert!(!line.contains('\n'), "header must be a single flat line");
     }
 
@@ -76,7 +73,5 @@ mod tests {
         let line = provenance_line(None, None);
         assert!(line.contains("\"config_fingerprint\":null"));
         assert!(line.contains("\"seed\":null"));
-        assert!(is_provenance_line(line.trim()));
-        assert!(!is_provenance_line("{\"record\":\"cell\",\"key\":\"x\"}"));
     }
 }

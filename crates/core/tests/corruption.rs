@@ -81,7 +81,7 @@ fn every_byte_flip_in_a_journal_is_detected_or_payload_safe() {
                 let line = std::str::from_utf8(&mutated[ls..le])
                     .map(|l| l.trim_end_matches(['\n', '\r']).to_string());
                 match line {
-                    Ok(l) => vtq::jsonl::check_line(&l).is_err(),
+                    Ok(l) => gpusim::frames::check_line(&l).is_err(),
                     Err(_) => true, // non-UTF-8 journals fail the read outright
                 }
             };

@@ -217,15 +217,16 @@ fn killed_and_resumed_sweeps_settle_each_cell_exactly_once() {
         // raw lines.
         let text = fs::read_to_string(dir.join(JOURNAL_FILE)).expect("journal file");
         let mut done_counts = std::collections::HashMap::<String, usize>::new();
-        for line in text.lines() {
-            if vtq::jsonl::json_str_field(line, "record").as_deref() != Some("cell") {
+        for rec in gpusim::frames::records(&text) {
+            let rec = rec.expect("every journal line is one flat record");
+            if rec.opt_str("record").unwrap() != Some("cell") {
                 continue;
             }
-            if vtq::jsonl::json_str_field(line, "status").as_deref() != Some("done") {
+            if rec.opt_str("status").unwrap() != Some("done") {
                 continue;
             }
-            let key = vtq::jsonl::json_str_field(line, "key").expect("done record has a key");
-            *done_counts.entry(key).or_insert(0) += 1;
+            let key = rec.str("key").expect("done record has a key");
+            *done_counts.entry(key.to_string()).or_insert(0) += 1;
         }
         assert_eq!(done_counts.len(), total, "seed {seed}: lost a done record");
         for (key, count) in &done_counts {

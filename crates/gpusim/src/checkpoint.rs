@@ -16,7 +16,7 @@
 //! one record per line, scalar values only, lists as space-separated
 //! strings, `a:b` pair tokens, `-` for `None`. A terminal `ckpt_end`
 //! record guards against truncation; [`Checkpoint::from_jsonl`] returns a
-//! typed [`ParseError`] for any corruption and never panics.
+//! typed [`FlatError`] for any corruption and never panics.
 
 use std::fmt::Write as _;
 
@@ -24,7 +24,7 @@ use gpumem::{
     AccessKind, CacheSnapshot, CacheStats, KindStats, LineState, MemSnapshot, WindowPoint,
 };
 
-use crate::export::{flat_str, flat_u64, parse_flat_line, ParseError};
+use crate::frames::{frame_lines, records, FlatError, FlatRecord};
 use crate::hw_table::QueueTableStats;
 use crate::observe::{SamplePoint, StallBreakdown, StallKind};
 use crate::predict::PredictTableStats;
@@ -139,7 +139,8 @@ impl RtUnitState {
     }
 }
 
-/// A complete simulator checkpoint; see the [module docs](self).
+/// A complete, bit-exact snapshot of the engine's architectural state at
+/// a quiescent cycle.
 ///
 /// Produced by
 /// [`Simulator::try_run_checkpointed`](crate::Simulator::try_run_checkpointed),
@@ -475,12 +476,7 @@ impl Checkpoint {
         // Integrity pass: every persisted line carries its CRC32 frame
         // so `from_jsonl` can reject torn writes and bit flips as typed
         // errors instead of mis-restoring state.
-        let mut framed = String::with_capacity(out.len() + 20 * out.lines().count());
-        for line in out.lines() {
-            framed.push_str(&crate::frames::frame_line(line));
-            framed.push('\n');
-        }
-        framed
+        frame_lines(out.lines())
     }
 
     fn caches(&self) -> Vec<(String, &CacheSnapshot)> {
@@ -495,30 +491,25 @@ impl Checkpoint {
     ///
     /// # Errors
     ///
-    /// Returns a typed [`ParseError`] locating the first malformed line,
+    /// Returns a typed [`FlatError`] locating the first malformed line,
     /// missing field, geometry contradiction, or a missing terminal
     /// `ckpt_end` record (truncated file). Never panics.
     #[allow(clippy::too_many_lines)]
-    pub fn from_jsonl(text: &str) -> Result<Checkpoint, ParseError> {
-        let mut lines =
-            text.lines().enumerate().map(|(i, l)| (i + 1, l)).filter(|(_, l)| !l.trim().is_empty());
-        let (header_no, header_line) =
-            lines.next().ok_or_else(|| ParseError::at(0, "empty checkpoint"))?;
-        let header_line = crate::frames::check_line(header_line)
-            .map_err(|e| ParseError::at(header_no, e.to_string()))?;
-        let header = parse_flat_line(&header_line).map_err(|r| ParseError::at(header_no, r))?;
-        let at = |r: String| ParseError::at(header_no, r);
-        if flat_str(&header, "record").map_err(&at)? != "checkpoint" {
+    pub fn from_jsonl(text: &str) -> Result<Checkpoint, FlatError> {
+        let mut lines = records(text);
+        let header = lines.next().ok_or_else(|| FlatError::new(0, "empty checkpoint"))??;
+        let at = |r: String| FlatError::new(header.line(), r);
+        if header.str("record")? != "checkpoint" {
             return Err(at("expected a `checkpoint` header record".to_string()));
         }
-        let version = flat_u64(&header, "version").map_err(&at)? as u32;
+        let version = header.u64("version")? as u32;
         if version != CHECKPOINT_VERSION {
             return Err(at(format!(
                 "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
             )));
         }
-        let num_sms = flat_u64(&header, "num_sms").map_err(&at)? as usize;
-        let tasks = flat_u64(&header, "tasks").map_err(&at)? as usize;
+        let num_sms = header.u64("num_sms")? as usize;
+        let tasks = header.u64("tasks")? as usize;
         if num_sms == 0 || num_sms > 1 << 16 || tasks > 1 << 28 {
             return Err(at(format!("implausible geometry: {num_sms} SMs, {tasks} tasks")));
         }
@@ -526,9 +517,9 @@ impl Checkpoint {
             version,
             num_sms,
             tasks,
-            total_rays: flat_u64(&header, "total_rays").map_err(&at)? as usize,
-            config_tag: flat_u64(&header, "config_tag").map_err(&at)?,
-            now: flat_u64(&header, "cycle").map_err(&at)?,
+            total_rays: header.u64("total_rays")? as usize,
+            config_tag: header.u64("config_tag")?,
+            now: header.u64("cycle")?,
             next_sm: 0,
             last_audit: 0,
             jitter_state: 1,
@@ -561,59 +552,53 @@ impl Checkpoint {
             },
         };
         let mut ended = false;
-        for (no, line) in lines {
+        for p in lines {
+            let p = p?;
+            let at = |r: String| FlatError::new(p.line(), r);
             if ended {
-                return Err(ParseError::at(no, "data after `ckpt_end`".to_string()));
+                return Err(at("data after `ckpt_end`".to_string()));
             }
-            let at = |r: String| ParseError::at(no, r);
-            let line = crate::frames::check_line(line).map_err(|e| at(e.to_string()))?;
-            let p = parse_flat_line(&line).map_err(&at)?;
-            let u = |key: &str| flat_u64(&p, key).map_err(&at);
-            let sm_of = |key: &str| -> Result<usize, ParseError> {
-                let sm = flat_u64(&p, key).map_err(&at)? as usize;
+            let u = |key: &str| p.u64(key);
+            let sm_of = |key: &str| -> Result<usize, FlatError> {
+                let sm = p.u64(key)? as usize;
                 if sm >= num_sms {
-                    return Err(at(format!("SM index {sm} out of range (num_sms {num_sms})")));
+                    return Err(
+                        p.error(key, format!("SM index {sm} out of range (num_sms {num_sms})"))
+                    );
                 }
                 Ok(sm)
             };
-            match flat_str(&p, "record").map_err(&at)? {
+            match p.str("record")? {
                 "ckpt_engine" => {
                     ckpt.next_sm = u("next_sm")? as usize;
                     ckpt.last_audit = u("last_audit")?;
                     ckpt.jitter_state = u("jitter_state")?;
                     ckpt.sink_events = u("sink_events")?;
-                    ckpt.sabotage = match flat_str(&p, "sabotage").map_err(&at)? {
-                        "-" => None,
+                    ckpt.sabotage = p.str_with("sabotage", |tok| match tok {
+                        "-" => Ok(None),
                         tok => {
-                            let (a, d) = split_pair(tok).map_err(&at)?;
-                            let delta = d
-                                .parse::<i64>()
-                                .map_err(|_| at(format!("bad sabotage delta: {d}")))?;
-                            Some((a, delta))
+                            let (a, d) = split_pair(tok)?;
+                            let delta =
+                                d.parse::<i64>().map_err(|_| format!("bad sabotage delta: {d}"))?;
+                            Ok(Some((a, delta)))
                         }
-                    };
-                    ckpt.pending =
-                        parse_list(flat_str(&p, "pending").map_err(&at)?).map_err(&at)?;
-                    ckpt.timers = parse_pair_list(flat_str(&p, "timers").map_err(&at)?)
-                        .map_err(&at)?
+                    })?;
+                    ckpt.pending = p.str_with("pending", parse_list)?;
+                    ckpt.timers = p
+                        .str_with("timers", parse_pair_list)?
                         .into_iter()
                         .map(|(t, i)| (t, i as usize))
                         .collect();
-                    ckpt.resume_ready =
-                        parse_list(flat_str(&p, "resume_ready").map_err(&at)?).map_err(&at)?;
-                    ckpt.shader_active =
-                        parse_list(flat_str(&p, "shader_active").map_err(&at)?).map_err(&at)?;
-                    ckpt.reserved_rays =
-                        parse_list(flat_str(&p, "reserved_rays").map_err(&at)?).map_err(&at)?;
-                    ckpt.slot_release = parse_pair_list(flat_str(&p, "slot_release").map_err(&at)?)
-                        .map_err(&at)?
+                    ckpt.resume_ready = p.str_with("resume_ready", parse_list)?;
+                    ckpt.shader_active = p.str_with("shader_active", parse_list)?;
+                    ckpt.reserved_rays = p.str_with("reserved_rays", parse_list)?;
+                    ckpt.slot_release = p
+                        .str_with("slot_release", parse_pair_list)?
                         .into_iter()
                         .map(|(t, i)| (t, i as usize))
                         .collect();
-                    ckpt.free_slots =
-                        parse_list(flat_str(&p, "free_slots").map_err(&at)?).map_err(&at)?;
-                    ckpt.last_progress =
-                        parse_list(flat_str(&p, "last_progress").map_err(&at)?).map_err(&at)?;
+                    ckpt.free_slots = p.str_with("free_slots", parse_list)?;
+                    ckpt.last_progress = p.str_with("last_progress", parse_list)?;
                     for (name, len) in [
                         ("shader_active", ckpt.shader_active.len()),
                         ("reserved_rays", ckpt.reserved_rays.len()),
@@ -632,11 +617,8 @@ impl Checkpoint {
                     s.cycles = u("cycles")?;
                     s.active_lane_steps = u("active_lane_steps")?;
                     s.total_lane_steps = u("total_lane_steps")?;
-                    s.mode_cycles =
-                        parse_triple(flat_str(&p, "mode_cycles").map_err(&at)?).map_err(&at)?;
-                    s.mode_isect_tests =
-                        parse_triple(flat_str(&p, "mode_isect_tests").map_err(&at)?)
-                            .map_err(&at)?;
+                    s.mode_cycles = p.str_with("mode_cycles", parse_triple)?;
+                    s.mode_isect_tests = p.str_with("mode_isect_tests", parse_triple)?;
                     s.box_tests = u("box_tests")?;
                     s.tri_tests = u("tri_tests")?;
                     s.warps_issued = u("warps_issued")?;
@@ -667,7 +649,7 @@ impl Checkpoint {
                             ckpt.stats.stall.len()
                         )));
                     }
-                    ckpt.stats.stall.push(parse_stall(&p).map_err(&at)?);
+                    ckpt.stats.stall.push(parse_stall(&p)?);
                 }
                 "ckpt_series" => {
                     ckpt.stats.series.push(SamplePoint {
@@ -675,9 +657,8 @@ impl Checkpoint {
                         covered_cycles: u("covered_cycles")?,
                         ray_cycles: u("ray_cycles")?,
                         occupied_slot_cycles: u("occupied_slot_cycles")?,
-                        mode_cycles: parse_triple(flat_str(&p, "mode_cycles").map_err(&at)?)
-                            .map_err(&at)?,
-                        stall: parse_stall(&p).map_err(&at)?,
+                        mode_cycles: p.str_with("mode_cycles", parse_triple)?,
+                        stall: parse_stall(&p)?,
                     });
                 }
                 "ckpt_cta" => {
@@ -700,9 +681,8 @@ impl Checkpoint {
                     });
                 }
                 "ckpt_ray" => {
-                    let stack = |key: &str| -> Result<Vec<StackEntry>, ParseError> {
-                        Ok(parse_pair_list(flat_str(&p, key).map_err(&at)?)
-                            .map_err(&at)?
+                    let stack = |key: &str| -> Result<Vec<StackEntry>, FlatError> {
+                        Ok(p.str_with(key, parse_pair_list)?
                             .into_iter()
                             .map(|(n, b)| StackEntry { node: n as u32, t_bits: b as u32 })
                             .collect())
@@ -710,21 +690,16 @@ impl Checkpoint {
                     ckpt.rays.push(RayState {
                         traversal: RayTraversalState {
                             id: u("id")? as u32,
-                            origin_bits: parse_triple32(flat_str(&p, "origin").map_err(&at)?)
-                                .map_err(&at)?,
-                            dir_bits: parse_triple32(flat_str(&p, "dir").map_err(&at)?)
-                                .map_err(&at)?,
-                            inv_dir_bits: parse_triple32(flat_str(&p, "inv_dir").map_err(&at)?)
-                                .map_err(&at)?,
+                            origin_bits: p.str_with("origin", parse_triple32)?,
+                            dir_bits: p.str_with("dir", parse_triple32)?,
+                            inv_dir_bits: p.str_with("inv_dir", parse_triple32)?,
                             current_treelet: u("treelet")? as u32,
                             current_stack: stack("cur_stack")?,
                             treelet_stack: stack("tre_stack")?,
-                            best: parse_opt_pair(flat_str(&p, "best").map_err(&at)?)
-                                .map_err(&at)?
+                            best: p
+                                .str_with("best", parse_opt_pair)?
                                 .map(|(a, b)| (a as u32, b as u32)),
-                            best_node: parse_opt_u64(flat_str(&p, "best_node").map_err(&at)?)
-                                .map_err(&at)?
-                                .map(|v| v as u32),
+                            best_node: p.str_with("best_node", parse_opt_u64)?.map(|v| v as u32),
                             t_min_bits: u("t_min")? as u32,
                             t_max_bits: u("t_max")? as u32,
                             limit_bits: u("limit")? as u32,
@@ -742,29 +717,23 @@ impl Checkpoint {
                     if task >= tasks {
                         return Err(at(format!("task {task} out of range ({tasks} tasks)")));
                     }
-                    ckpt.hits[task] = flat_str(&p, "hits")
-                        .map_err(&at)?
-                        .split_whitespace()
-                        .map(|tok| {
-                            parse_opt_pair(tok).map(|h| h.map(|(a, b)| (a as u32, b as u32)))
-                        })
-                        .collect::<Result<Vec<_>, String>>()
-                        .map_err(&at)?;
+                    ckpt.hits[task] = p.str_with("hits", |s| {
+                        s.split_whitespace()
+                            .map(|tok| {
+                                parse_opt_pair(tok).map(|h| h.map(|(a, b)| (a as u32, b as u32)))
+                            })
+                            .collect()
+                    })?;
                 }
                 "ckpt_rt" => {
                     let sm = sm_of("sm")?;
                     let unit = &mut ckpt.rt[sm];
-                    unit.current_queue = parse_opt_u64(flat_str(&p, "current_queue").map_err(&at)?)
-                        .map_err(&at)?
-                        .map(|v| v as u32);
-                    unit.preloaded = parse_opt_u64(flat_str(&p, "preloaded").map_err(&at)?)
-                        .map_err(&at)?
-                        .map(|v| v as u32);
+                    unit.current_queue =
+                        p.str_with("current_queue", parse_opt_u64)?.map(|v| v as u32);
+                    unit.preloaded = p.str_with("preloaded", parse_opt_u64)?.map(|v| v as u32);
                     unit.last_prefetch_at = u("last_prefetch_at")?;
                     unit.rays_in_flight = u("rays_in_flight")? as usize;
-                    unit.last_mode = parse_opt_u64(flat_str(&p, "last_mode").map_err(&at)?)
-                        .map_err(&at)?
-                        .map(|v| v as u8);
+                    unit.last_mode = p.str_with("last_mode", parse_opt_u64)?.map(|v| v as u8);
                     unit.queue_total = u("queue_total")? as usize;
                     unit.hw_live = u("hw_live")? as u32;
                     unit.hw_stats = QueueTableStats {
@@ -794,8 +763,7 @@ impl Checkpoint {
                 }
                 "ckpt_inc" => {
                     let sm = sm_of("sm")?;
-                    let rays: Vec<u64> =
-                        parse_list(flat_str(&p, "rays").map_err(&at)?).map_err(&at)?;
+                    let rays: Vec<u64> = p.str_with("rays", parse_list)?;
                     ckpt.rt[sm]
                         .incoming
                         .push((u("arrive")?, rays.into_iter().map(|r| r as u32).collect()));
@@ -809,26 +777,22 @@ impl Checkpoint {
                             ckpt.rt[sm].slots.len()
                         )));
                     }
-                    let lanes = flat_str(&p, "lanes")
-                        .map_err(&at)?
-                        .split_whitespace()
-                        .map(|tok| parse_opt_u64(tok).map(|v| v.map(|v| v as u32)))
-                        .collect::<Result<Vec<_>, String>>()
-                        .map_err(&at)?;
+                    let lanes = p.str_with("lanes", |s| {
+                        s.split_whitespace()
+                            .map(|tok| parse_opt_u64(tok).map(|v| v.map(|v| v as u32)))
+                            .collect()
+                    })?;
                     ckpt.rt[sm].slots[slot] = Some(WarpState {
                         lanes,
                         mode: u("mode")? as u8,
-                        restrict: parse_opt_u64(flat_str(&p, "restrict").map_err(&at)?)
-                            .map_err(&at)?
-                            .map(|v| v as u32),
+                        restrict: p.str_with("restrict", parse_opt_u64)?.map(|v| v as u32),
                         ready_at: u("ready_at")?,
                         mem_ready_at: u("mem_ready_at")?,
                     });
                 }
                 "ckpt_queue" => {
                     let sm = sm_of("sm")?;
-                    let rays: Vec<u64> =
-                        parse_list(flat_str(&p, "rays").map_err(&at)?).map_err(&at)?;
+                    let rays: Vec<u64> = p.str_with("rays", parse_list)?;
                     ckpt.rt[sm]
                         .queues
                         .push((u("treelet")? as u32, rays.into_iter().map(|r| r as u32).collect()));
@@ -842,12 +806,11 @@ impl Checkpoint {
                             ckpt.rt[sm].hw_buckets.len()
                         )));
                     }
-                    ckpt.rt[sm].hw_buckets[bucket] =
-                        parse_pair_list(flat_str(&p, "entries").map_err(&at)?)
-                            .map_err(&at)?
-                            .into_iter()
-                            .map(|(t, r)| (t, r as u32))
-                            .collect();
+                    ckpt.rt[sm].hw_buckets[bucket] = p
+                        .str_with("entries", parse_pair_list)?
+                        .into_iter()
+                        .map(|(t, r)| (t, r as u32))
+                        .collect();
                 }
                 "ckpt_pt" => {
                     let sm = sm_of("sm")?;
@@ -859,17 +822,16 @@ impl Checkpoint {
                             ckpt.rt[sm].predict_buckets.len()
                         )));
                     }
-                    ckpt.rt[sm].predict_buckets[bucket] =
-                        parse_pair_list(flat_str(&p, "entries").map_err(&at)?)
-                            .map_err(&at)?
-                            .into_iter()
-                            .map(|(k, n)| (k, n as u32))
-                            .collect();
+                    ckpt.rt[sm].predict_buckets[bucket] = p
+                        .str_with("entries", parse_pair_list)?
+                        .into_iter()
+                        .map(|(k, n)| (k, n as u32))
+                        .collect();
                 }
                 "ckpt_pref" => {
                     let sm = sm_of("sm")?;
-                    ckpt.rt[sm].prefetched = parse_pair_list(flat_str(&p, "lines").map_err(&at)?)
-                        .map_err(&at)?
+                    ckpt.rt[sm].prefetched = p
+                        .str_with("lines", parse_pair_list)?
                         .into_iter()
                         .map(|(a, used)| (a, used != 0))
                         .collect();
@@ -880,8 +842,7 @@ impl Checkpoint {
                 }
                 "ckpt_mshr" => {
                     let sm = sm_of("sm")?;
-                    ckpt.mem.mshrs[sm] =
-                        parse_list(flat_str(&p, "free_at").map_err(&at)?).map_err(&at)?;
+                    ckpt.mem.mshrs[sm] = p.str_with("free_at", parse_list)?;
                 }
                 "ckpt_kind" => {
                     let kind = u("kind")? as usize;
@@ -904,17 +865,14 @@ impl Checkpoint {
                     });
                 }
                 "ckpt_cache" => {
-                    let lines = flat_str(&p, "lines")
-                        .map_err(&at)?
-                        .split_whitespace()
-                        .map(parse_line_state)
-                        .collect::<Result<Vec<_>, String>>()
-                        .map_err(&at)?;
+                    let lines = p.str_with("lines", |s| {
+                        s.split_whitespace().map(parse_line_state).collect()
+                    })?;
                     let snap = CacheSnapshot {
                         lines,
                         stats: CacheStats { accesses: u("accesses")?, hits: u("hits")? },
                     };
-                    match flat_str(&p, "cache").map_err(&at)? {
+                    match p.str("cache")? {
                         "l2" => ckpt.mem.l2 = snap,
                         "ray" => ckpt.mem.ray_reserve = snap,
                         name => {
@@ -935,10 +893,10 @@ impl Checkpoint {
             }
         }
         if !ended {
-            return Err(ParseError::at(0, "truncated checkpoint: no `ckpt_end` record"));
+            return Err(FlatError::new(0, "truncated checkpoint: no `ckpt_end` record"));
         }
         if ckpt.stats.stall.len() != num_sms {
-            return Err(ParseError::at(
+            return Err(FlatError::new(
                 0,
                 format!("{} ckpt_stall records, expected {num_sms}", ckpt.stats.stall.len()),
             ));
@@ -955,13 +913,13 @@ fn stall_fields(b: &StallBreakdown) -> String {
     )
 }
 
-fn parse_stall(p: &[(String, String)]) -> Result<StallBreakdown, String> {
+fn parse_stall(p: &FlatRecord) -> Result<StallBreakdown, FlatError> {
     let mut b = StallBreakdown::default();
-    b.add(StallKind::Busy, flat_u64(p, "busy")?);
-    b.add(StallKind::WaitingMemory, flat_u64(p, "waiting_memory")?);
-    b.add(StallKind::WarpBufferEmpty, flat_u64(p, "warp_buffer_empty")?);
-    b.add(StallKind::QueueDrained, flat_u64(p, "queue_drained")?);
-    b.add(StallKind::Idle, flat_u64(p, "idle")?);
+    b.add(StallKind::Busy, p.u64("busy")?);
+    b.add(StallKind::WaitingMemory, p.u64("waiting_memory")?);
+    b.add(StallKind::WarpBufferEmpty, p.u64("warp_buffer_empty")?);
+    b.add(StallKind::QueueDrained, p.u64("queue_drained")?);
+    b.add(StallKind::Idle, p.u64("idle")?);
     Ok(b)
 }
 

@@ -10,6 +10,7 @@
 use std::fmt::Write as _;
 
 use crate::error::{ForensicsSnapshot, SmSnapshot};
+use crate::frames::{quote, records, FlatError};
 use crate::observe::{RingSink, SamplePoint, StallBreakdown, StallKind, TraceEvent};
 use crate::sim::SimReport;
 use crate::stats::TraversalMode;
@@ -17,26 +18,6 @@ use crate::stats::TraversalMode;
 // ---------------------------------------------------------------------------
 // JSON primitives
 // ---------------------------------------------------------------------------
-
-/// Escapes `s` for inclusion inside a JSON string literal (quotes not
-/// included).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders an `f64` as a JSON value: finite numbers as-is, NaN and
 /// infinities as `null` (JSON has no representation for them).
@@ -199,7 +180,7 @@ pub fn metrics_json(label: &str, report: &SimReport) -> String {
     let s = &report.stats;
     let bvh = report.mem.kind(gpumem::AccessKind::Bvh);
     let mut out = String::from("{");
-    let _ = write!(out, "\"label\":\"{}\"", json_escape(label));
+    let _ = write!(out, "\"label\":{}", quote(label));
     let _ = write!(out, ",\"cycles\":{}", s.cycles);
     let _ = write!(out, ",\"rays_completed\":{}", s.rays_completed);
     let _ = write!(out, ",\"warps_issued\":{}", s.warps_issued);
@@ -293,122 +274,61 @@ pub fn snapshot_jsonl(s: &ForensicsSnapshot) -> String {
     out
 }
 
-/// A typed parse failure from the flat-JSONL readers
-/// ([`parse_snapshot_jsonl`], checkpoint parsing): the 1-based line of the
-/// input that failed, plus the reason. Library code returns this instead of
-/// printing and exiting, so the host process decides how to react.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// 1-based line number within the parsed text (0 when the failure is
-    /// about the document as a whole, e.g. empty input).
-    pub line: usize,
-    /// What was wrong with that line.
-    pub reason: String,
-}
-
-impl ParseError {
-    pub(crate) fn at(line: usize, reason: impl Into<String>) -> ParseError {
-        ParseError { line, reason: reason.into() }
-    }
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.line == 0 {
-            write!(f, "parse error: {}", self.reason)
-        } else {
-            write!(f, "parse error at line {}: {}", self.line, self.reason)
-        }
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Parses one flat JSONL line of `"key":value` pairs (string or integer
-/// values, no nesting — the snapshot and checkpoint schemas).
-pub(crate) fn parse_flat_line(line: &str) -> Result<Vec<(String, String)>, String> {
-    let inner = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|r| r.strip_suffix('}'))
-        .ok_or_else(|| format!("not a JSON object: {line}"))?;
-    let mut pairs = Vec::new();
-    for kv in inner.split(',') {
-        let (k, v) = kv.split_once(':').ok_or_else(|| format!("malformed pair: {kv}"))?;
-        pairs
-            .push((k.trim().trim_matches('"').to_string(), v.trim().trim_matches('"').to_string()));
-    }
-    Ok(pairs)
-}
-
-pub(crate) fn flat_u64(pairs: &[(String, String)], key: &str) -> Result<u64, String> {
-    let (_, v) =
-        pairs.iter().find(|(k, _)| k == key).ok_or_else(|| format!("missing field `{key}`"))?;
-    v.parse().map_err(|_| format!("field `{key}` is not an integer: {v}"))
-}
-
-pub(crate) fn flat_str<'p>(pairs: &'p [(String, String)], key: &str) -> Result<&'p str, String> {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-        .ok_or_else(|| format!("missing field `{key}`"))
-}
-
 /// Parses the output of [`snapshot_jsonl`] back into a
 /// [`ForensicsSnapshot`] — the round-trip used by tooling that post-mortems
 /// a dumped deadlock.
 ///
 /// # Errors
 ///
-/// Returns a typed [`ParseError`] locating the first malformed line,
+/// Returns a typed [`FlatError`] locating the first malformed line,
 /// missing field, or SM-count mismatch. Never panics, whatever the input.
-pub fn parse_snapshot_jsonl(text: &str) -> Result<ForensicsSnapshot, ParseError> {
-    let mut lines =
-        text.lines().enumerate().map(|(i, l)| (i + 1, l)).filter(|(_, l)| !l.trim().is_empty());
-    let (header_no, header_line) =
-        lines.next().ok_or_else(|| ParseError::at(0, "empty snapshot dump"))?;
-    let header = parse_flat_line(header_line).map_err(|r| ParseError::at(header_no, r))?;
-    let at = |r: String| ParseError::at(header_no, r);
-    let record = header.iter().find(|(k, _)| k == "record").map(|(_, v)| v.as_str());
+pub fn parse_snapshot_jsonl(text: &str) -> Result<ForensicsSnapshot, FlatError> {
+    let mut lines = records(text);
+    let header = lines.next().ok_or_else(|| FlatError::new(0, "empty snapshot dump"))??;
+    let record = header.opt_str("record").ok().flatten();
     if record != Some("forensics") {
-        return Err(at(format!("expected a `forensics` header record, got {record:?}")));
+        return Err(
+            header.error("record", format!("expected a `forensics` header record, got {record:?}"))
+        );
     }
+    let u = |key: &str| header.u64(key);
     let mut snapshot = ForensicsSnapshot {
-        cycle: flat_u64(&header, "cycle").map_err(at)?,
-        rays_created: flat_u64(&header, "rays_created").map_err(at)?,
-        rays_completed: flat_u64(&header, "rays_completed").map_err(at)?,
-        ctas_total: flat_u64(&header, "ctas_total").map_err(at)? as usize,
-        ctas_unfinished: flat_u64(&header, "ctas_unfinished").map_err(at)? as usize,
-        pending_ctas: flat_u64(&header, "pending_ctas").map_err(at)? as usize,
-        resume_ready_ctas: flat_u64(&header, "resume_ready_ctas").map_err(at)? as usize,
-        mem_in_flight: flat_u64(&header, "mem_in_flight").map_err(at)? as usize,
+        cycle: u("cycle")?,
+        rays_created: u("rays_created")?,
+        rays_completed: u("rays_completed")?,
+        ctas_total: u("ctas_total")? as usize,
+        ctas_unfinished: u("ctas_unfinished")? as usize,
+        pending_ctas: u("pending_ctas")? as usize,
+        resume_ready_ctas: u("resume_ready_ctas")? as usize,
+        mem_in_flight: u("mem_in_flight")? as usize,
         sms: Vec::new(),
     };
-    let expected = flat_u64(&header, "sms").map_err(at)? as usize;
-    for (no, line) in lines {
-        let at = |r: String| ParseError::at(no, r);
-        let pairs = parse_flat_line(line).map_err(at)?;
-        let record = pairs.iter().find(|(k, _)| k == "record").map(|(_, v)| v.as_str());
+    let expected = u("sms")? as usize;
+    for sm in lines {
+        let sm = sm?;
+        let record = sm.opt_str("record").ok().flatten();
         if record != Some("forensics_sm") {
-            return Err(at(format!("expected a `forensics_sm` record, got {record:?}")));
+            return Err(
+                sm.error("record", format!("expected a `forensics_sm` record, got {record:?}"))
+            );
         }
+        let u = |key: &str| sm.u64(key).map(|v| v as usize);
         snapshot.sms.push(SmSnapshot {
-            sm: flat_u64(&pairs, "sm").map_err(at)? as usize,
-            free_cta_slots: flat_u64(&pairs, "free_cta_slots").map_err(at)? as usize,
-            resident_warps: flat_u64(&pairs, "resident_warps").map_err(at)? as usize,
-            warp_buffer_slots: flat_u64(&pairs, "warp_buffer_slots").map_err(at)? as usize,
-            incoming_warps: flat_u64(&pairs, "incoming_warps").map_err(at)? as usize,
-            queued_rays: flat_u64(&pairs, "queued_rays").map_err(at)? as usize,
-            treelet_queues: flat_u64(&pairs, "treelet_queues").map_err(at)? as usize,
-            rays_in_flight: flat_u64(&pairs, "rays_in_flight").map_err(at)? as usize,
-            shader_active: flat_u64(&pairs, "shader_active").map_err(at)? as usize,
-            reserved_rays: flat_u64(&pairs, "reserved_rays").map_err(at)? as usize,
-            last_progress_cycle: flat_u64(&pairs, "last_progress_cycle").map_err(at)?,
+            sm: u("sm")?,
+            free_cta_slots: u("free_cta_slots")?,
+            resident_warps: u("resident_warps")?,
+            warp_buffer_slots: u("warp_buffer_slots")?,
+            incoming_warps: u("incoming_warps")?,
+            queued_rays: u("queued_rays")?,
+            treelet_queues: u("treelet_queues")?,
+            rays_in_flight: u("rays_in_flight")?,
+            shader_active: u("shader_active")?,
+            reserved_rays: u("reserved_rays")?,
+            last_progress_cycle: sm.u64("last_progress_cycle")?,
         });
     }
     if snapshot.sms.len() != expected {
-        return Err(ParseError::at(
+        return Err(FlatError::new(
             0,
             format!("header declared {expected} SMs but {} records followed", snapshot.sms.len()),
         ));
@@ -471,7 +391,7 @@ mod tests {
     }
 
     /// Table-driven corruption sweep: every malformed or truncated input
-    /// must come back as a typed [`ParseError`] naming the offending line —
+    /// must come back as a typed [`FlatError`] naming the offending line —
     /// never a panic, never a silent partial parse.
     #[test]
     fn malformed_snapshots_return_typed_errors() {
@@ -569,12 +489,6 @@ mod tests {
                 assert!(err.to_string().contains(&format!("line {}", case.line)));
             }
         }
-    }
-
-    #[test]
-    fn escape_covers_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

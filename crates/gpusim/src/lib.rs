@@ -65,7 +65,6 @@ pub use config::{
 };
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use error::{ForensicsSnapshot, InvariantViolation, SimError, SmSnapshot};
-pub use export::ParseError;
 pub use observe::{
     CountingSink, RingSink, SamplePoint, StallBreakdown, StallKind, TraceEvent, TraceSink,
 };

@@ -1,6 +1,6 @@
 //! The cycle-level GPU + RT-unit simulator.
 //!
-//! One [`Simulator::run`] call simulates a full path-tracing kernel: every
+//! One [`Simulator::try_run`] call simulates a full path-tracing kernel: every
 //! [`PathTask`] is one raygen-shader thread that issues one `traceRayEXT`
 //! per bounce. Threads are grouped into warps and CTAs, CTAs are scheduled
 //! onto SMs, and each SM's RT unit traverses warps of rays through the BVH
@@ -377,24 +377,6 @@ impl<'a> Simulator<'a> {
         &self.config
     }
 
-    /// Runs the kernel to completion and returns the report.
-    ///
-    /// Thin wrapper over [`Simulator::try_run`] for callers that treat any
-    /// simulation failure as fatal.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SimError`] — an empty workload, a tripped watchdog
-    /// ([`GpuConfig::max_cycles`] or a true engine deadlock), or an
-    /// invariant violation caught by the auditor. Use
-    /// [`Simulator::try_run`] to receive the typed error (with its
-    /// forensics snapshot) instead of aborting the process.
-    #[deprecated(note = "panics on simulation failure; use `try_run` (or `try_run_with` \
-                with `RunOptions`) and handle the `SimError`")]
-    pub fn run(&self, workload: &Workload) -> SimReport {
-        self.try_run(workload).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Runs the kernel to completion, returning a typed error instead of
     /// panicking when the simulation cannot complete.
     ///
@@ -437,23 +419,6 @@ impl<'a> Simulator<'a> {
         let mut capture = None;
         let report = self.try_run_with(workload, RunOptions::new().capture_hits(&mut capture))?;
         Ok((report, capture.expect("a completed run always fills the requested capture")))
-    }
-
-    /// Like [`Simulator::run`], but streams structured [`TraceEvent`]s into
-    /// `sink` as the kernel executes.
-    ///
-    /// Tracing is pure observation: the traced run is cycle-identical to an
-    /// untraced one (the sink never feeds back into timing), which the test
-    /// suite asserts.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SimError`]; use [`Simulator::try_run_traced`] for
-    /// the typed-error form.
-    #[deprecated(note = "panics on simulation failure; use `try_run_traced` (or `try_run_with` \
-                with `RunOptions::trace`) and handle the `SimError`")]
-    pub fn run_traced(&self, workload: &Workload, sink: &mut dyn TraceSink) -> SimReport {
-        self.try_run_traced(workload, sink).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`Simulator::try_run`] with structured-event tracing.

@@ -1,10 +1,11 @@
 //! Exporter and aggregation contracts: `SimStats::merge` must compose
 //! partial observations into exactly the whole, and the hand-rolled
-//! JSONL/CSV exporters must round-trip through the same flat-line parsing
-//! pattern `parse_snapshot_jsonl` uses — integers losslessly, floats via
+//! JSONL/CSV exporters must round-trip — the JSONL through the workspace
+//! codec `gpusim::frames::FlatRecord` — integers losslessly, floats via
 //! Rust's shortest-round-trip `Display`.
 
 use gpusim::export::{metrics_json, series_csv, stall_csv};
+use gpusim::frames::FlatRecord;
 use gpusim::{
     GpuConfig, PathTask, SamplePoint, SimStats, Simulator, StallBreakdown, StallKind, TraceCall,
     TraversalMode, Workload,
@@ -194,37 +195,8 @@ fn merge_saturates_instead_of_overflowing() {
 }
 
 // ---------------------------------------------------------------------------
-// Exporter round-trips (flat-line parsing, `parse_snapshot_jsonl` style)
+// Exporter round-trips through the workspace codec
 // ---------------------------------------------------------------------------
-
-/// Splits one flat JSON object of `"key":value` pairs — the same schema
-/// and approach as `gpusim::export::parse_snapshot_jsonl`.
-fn parse_flat_line(line: &str) -> Vec<(String, String)> {
-    let inner = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|r| r.strip_suffix('}'))
-        .unwrap_or_else(|| panic!("not a JSON object: {line}"));
-    inner
-        .split(',')
-        .map(|kv| {
-            let (k, v) = kv.split_once(':').unwrap_or_else(|| panic!("malformed pair: {kv}"));
-            (k.trim().trim_matches('"').to_string(), v.trim().trim_matches('"').to_string())
-        })
-        .collect()
-}
-
-fn flat<'a>(pairs: &'a [(String, String)], key: &str) -> &'a str {
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-        .unwrap_or_else(|| panic!("missing field `{key}`"))
-}
-
-fn flat_u64(pairs: &[(String, String)], key: &str) -> u64 {
-    flat(pairs, key).parse().unwrap_or_else(|_| panic!("field `{key}` is not an integer"))
-}
 
 fn tiny_report() -> gpusim::SimReport {
     let mut rng = XorShiftRng::new(0xE0_17);
@@ -267,45 +239,44 @@ fn tiny_report() -> gpusim::SimReport {
 fn metrics_json_round_trips_losslessly() {
     let report = tiny_report();
     let line = metrics_json("soup/baseline", &report);
-    let pairs = parse_flat_line(&line);
+    let r = FlatRecord::parse(&line).expect("metrics line is one flat record");
     let s = &report.stats;
 
-    assert_eq!(flat(&pairs, "label"), "soup/baseline");
-    assert_eq!(flat_u64(&pairs, "cycles"), s.cycles);
-    assert_eq!(flat_u64(&pairs, "rays_completed"), s.rays_completed);
-    assert_eq!(flat_u64(&pairs, "warps_issued"), s.warps_issued);
-    assert_eq!(flat_u64(&pairs, "box_tests"), s.box_tests);
-    assert_eq!(flat_u64(&pairs, "tri_tests"), s.tri_tests);
-    assert_eq!(flat_u64(&pairs, "mode_cycles_initial"), s.cycles_in(TraversalMode::Initial));
+    assert_eq!(r.str("label").unwrap(), "soup/baseline");
+    assert_eq!(r.u64("cycles").unwrap(), s.cycles);
+    assert_eq!(r.u64("rays_completed").unwrap(), s.rays_completed);
+    assert_eq!(r.u64("warps_issued").unwrap(), s.warps_issued);
+    assert_eq!(r.u64("box_tests").unwrap(), s.box_tests);
+    assert_eq!(r.u64("tri_tests").unwrap(), s.tri_tests);
+    assert_eq!(r.u64("mode_cycles_initial").unwrap(), s.cycles_in(TraversalMode::Initial));
     assert_eq!(
-        flat_u64(&pairs, "mode_cycles_treelet"),
+        r.u64("mode_cycles_treelet").unwrap(),
         s.cycles_in(TraversalMode::TreeletStationary)
     );
-    assert_eq!(flat_u64(&pairs, "mode_cycles_ray"), s.cycles_in(TraversalMode::RayStationary));
-    assert_eq!(flat_u64(&pairs, "treelet_dispatches"), s.treelet_dispatches);
-    assert_eq!(flat_u64(&pairs, "repack_events"), s.repack_events);
-    assert_eq!(flat_u64(&pairs, "cta_suspends"), s.cta_suspends);
-    assert_eq!(flat_u64(&pairs, "peak_rays_in_flight"), s.peak_rays_in_flight as u64);
-    assert_eq!(flat_u64(&pairs, "queue_table_overflows"), s.queue_table_overflows);
-    assert_eq!(flat_u64(&pairs, "dram_lines"), report.mem.total_dram_lines());
+    assert_eq!(r.u64("mode_cycles_ray").unwrap(), s.cycles_in(TraversalMode::RayStationary));
+    assert_eq!(r.u64("treelet_dispatches").unwrap(), s.treelet_dispatches);
+    assert_eq!(r.u64("repack_events").unwrap(), s.repack_events);
+    assert_eq!(r.u64("cta_suspends").unwrap(), s.cta_suspends);
+    assert_eq!(r.u64("peak_rays_in_flight").unwrap(), s.peak_rays_in_flight as u64);
+    assert_eq!(r.u64("queue_table_overflows").unwrap(), s.queue_table_overflows);
+    assert_eq!(r.u64("dram_lines").unwrap(), report.mem.total_dram_lines());
 
     // Floats print via Rust's shortest round-trip `Display`, so parsing
     // them back yields bit-identical values (null for undefined rates).
     match s.simt_efficiency_opt() {
         Some(e) => {
-            let parsed: f64 = flat(&pairs, "simt_efficiency").parse().expect("float");
-            assert_eq!(parsed.to_bits(), e.to_bits());
+            assert_eq!(r.f64("simt_efficiency").unwrap().to_bits(), e.to_bits());
         }
-        None => assert_eq!(flat(&pairs, "simt_efficiency"), "null"),
+        None => assert!(line.contains("\"simt_efficiency\":null")),
     }
-    assert_eq!(flat(&pairs, "prefetch_use_rate"), "null", "baseline never prefetches");
-    let energy: f64 = flat(&pairs, "energy_pj").parse().expect("float");
+    assert!(line.contains("\"prefetch_use_rate\":null"), "baseline never prefetches");
+    let energy = r.f64("energy_pj").unwrap();
     assert_eq!(energy.to_bits(), report.energy.total_pj().to_bits());
 
     // Stall columns cover every kind and sum to SM-count × cycles (each
     // cycle lands in exactly one bucket per unit).
     let stall_sum: u64 =
-        StallKind::ALL.iter().map(|k| flat_u64(&pairs, &format!("stall_{}", k.label()))).sum();
+        StallKind::ALL.iter().map(|k| r.u64(&format!("stall_{}", k.label())).unwrap()).sum();
     assert_eq!(stall_sum, s.cycles * s.stall.len() as u64);
 }
 

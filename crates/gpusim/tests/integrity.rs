@@ -83,15 +83,6 @@ fn deadlock_returns_typed_error_with_forensics() {
 }
 
 #[test]
-#[should_panic(expected = "deadlock")]
-#[allow(deprecated)] // the panicking wrapper's contract is what's under test
-fn legacy_run_still_panics_on_deadlock() {
-    let (scene, bvh) = small_scene();
-    let workload = small_workload(&scene, 8);
-    Simulator::new(&bvh, scene.triangles(), deadlocking_config()).run(&workload);
-}
-
-#[test]
 fn cycle_budget_trips_before_completion() {
     let (scene, bvh) = small_scene();
     let workload = small_workload(&scene, 16);

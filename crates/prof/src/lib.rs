@@ -1,6 +1,6 @@
 //! Host-side performance observability: where does *wall-clock* time go?
 //!
-//! The simulator's own instrumentation ([`gpusim`]'s trace sinks, stall
+//! The simulator's own instrumentation (`gpusim`'s trace sinks, stall
 //! breakdowns and time series) measures the *modelled machine*. This
 //! crate measures the *host program running the model*, so optimization
 //! PRs can defend their claims with numbers:
@@ -24,7 +24,7 @@
 //!   observability it did not ask for, and none of the instrumentation
 //!   sits inside per-cycle simulator loops (spans wrap whole phases,
 //!   counters are added once per run).
-//! * **Allocation counting** (feature `count-allocs`) — [`CountingAlloc`]
+//! * **Allocation counting** (feature `count-allocs`) — `CountingAlloc`
 //!   wraps the system allocator and counts every allocation, for
 //!   measurement binaries that want heap-churn numbers next to timings.
 //!
@@ -354,34 +354,6 @@ impl ProfSnapshot {
         Some(self.counter(counter) as f64 * 1e9 / self.elapsed_ns as f64)
     }
 
-    /// Flat JSONL following the workspace exporter conventions: one
-    /// `{"record":"prof_span",...}` line per span, one
-    /// `{"record":"prof_counter",...}` line per nonzero counter.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for s in &self.spans {
-            out.push_str(&format!(
-                "{{\"record\":\"prof_span\",\"path\":\"{}\",\"count\":{},\"total_ns\":{},\
-                 \"self_ns\":{}}}\n",
-                escape(&s.path),
-                s.count,
-                s.total_ns,
-                s.self_ns
-            ));
-        }
-        for c in self.counters.iter().filter(|c| c.value > 0) {
-            let rate = match self.per_sec(counter_by_name(c.name)) {
-                Some(r) => format!("{r:.3}"),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "{{\"record\":\"prof_counter\",\"name\":\"{}\",\"value\":{},\"per_sec\":{rate}}}\n",
-                c.name, c.value
-            ));
-        }
-        out
-    }
-
     /// Human-readable table for run summaries.
     pub fn summary(&self) -> String {
         let mut out = String::new();
@@ -432,21 +404,6 @@ fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{ns}ns")
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Copies out everything recorded so far. The calling thread's pending
@@ -574,7 +531,6 @@ mod tests {
         let snap = snapshot();
         assert!(snap.is_empty(), "disabled profiler recorded: {snap:?}");
         assert_eq!(snap.counter(Counter::RaysTraced), 0);
-        assert!(snap.to_jsonl().is_empty());
     }
 
     #[test]
@@ -638,7 +594,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_is_flat_and_wellformed() {
+    fn export_span_and_counter_reach_the_snapshot() {
         let _gate = exclusive();
         reset();
         enable();
@@ -649,14 +605,8 @@ mod tests {
         }
         let snap = snapshot();
         disable();
-        let jsonl = snap.to_jsonl();
-        assert!(!jsonl.is_empty());
-        for line in jsonl.lines() {
-            assert!(line.starts_with("{\"record\":\"prof_"), "bad line: {line}");
-            assert!(line.ends_with('}'), "bad line: {line}");
-        }
-        assert!(jsonl.contains("\"path\":\"export\""));
-        assert!(jsonl.contains("\"name\":\"bytes_exported\",\"value\":4096"));
+        assert!(snap.spans.iter().any(|s| s.path == "export" && s.count == 1));
+        assert_eq!(snap.counter(Counter::BytesExported), 4096);
         // Rates are derived from the enable epoch.
         assert!(snap.per_sec(Counter::BytesExported).is_some());
         assert!(snap.summary().contains("bytes_exported"));

@@ -175,7 +175,7 @@ impl Bvh4Node {
 /// (same zero-direction handling, same `max`/`min` fold, entry clamped to
 /// `t_min`), evaluated across the node's SoA component arrays in one
 /// pass; empty lanes report `None`. Both the simulator's node-visit path
-/// ([`gpusim`]'s `RayTraversal::visit`) and the conformance oracle
+/// (`gpusim`'s `RayTraversal::visit`) and the conformance oracle
 /// ([`Bvh::traverse`](crate::Bvh::traverse)) call this kernel, so the
 /// bit-equal (prim, t) contract between them holds by construction.
 #[inline]

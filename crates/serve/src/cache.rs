@@ -22,9 +22,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use gpusim::frames::{frame_lines, is_framed, FlatRecord};
 use vtq::diskfault::{guarded_read_to_string, sweep_orphan_tmps, write_file_durable};
-use vtq::jsonl::{check_line, frame_line, is_framed, json_str_field};
-use vtq::provenance::{is_provenance_line, provenance_line};
+use vtq::provenance::{provenance_line, PROVENANCE_RECORD};
 
 use crate::proto::CellRecord;
 
@@ -69,15 +69,15 @@ impl ResultCache {
     /// provenance header: an entry whose header names a different crate
     /// version or config fingerprint than the record claims is treated
     /// as absent (and the mismatch reported), never served. An entry
-    /// failing its checksum is quarantined to
-    /// [`QUARANTINE_DIR`](self::QUARANTINE_DIR) and reported as a miss
-    /// so the cell recomputes — a corrupt frame is never served.
+    /// with a line that fails its checksum or is not one complete flat
+    /// record is quarantined to [`QUARANTINE_DIR`] and reported as a miss
+    /// so the cell recomputes — a corrupt or torn entry is never served.
     pub fn load(&self, key: &str, config_fingerprint: u64) -> Option<CellRecord> {
         let text = guarded_read_to_string(&self.entry_path(key)).ok()?;
-        let mut verified = Vec::new();
+        let mut records = Vec::new();
         for line in text.lines() {
-            match check_line(line) {
-                Ok(payload) => verified.push(payload),
+            match FlatRecord::parse(line) {
+                Ok(record) => records.push(record),
                 Err(e) => {
                     self.quarantine(key, &e.to_string());
                     return None;
@@ -87,20 +87,23 @@ impl ResultCache {
         // A framed entry is exactly two verified lines; fewer means the
         // file was truncated after the frames were checked line-wise
         // (e.g. a short read dropping line 2 entirely).
-        if is_framed(&text) && verified.len() < 2 {
+        if is_framed(&text) && records.len() < 2 {
             self.quarantine(key, "framed entry truncated to fewer than 2 records");
             return None;
         }
-        let mut lines = verified.iter().map(String::as_str);
-        let header = lines.next()?;
-        if !is_provenance_line(header) {
+        let mut records = records.iter();
+        let header = records.next()?;
+        if header.opt_str("record") != Ok(Some(PROVENANCE_RECORD)) {
             eprintln!("[cache] {key}: entry lacks a provenance header; ignoring");
             return None;
         }
         // The header's config fingerprint must match the configuration
         // the *caller* is about to run — a daemon restarted with a
         // different base config must not serve stale results.
-        let stamped = json_str_field(header, "config_fingerprint")
+        let stamped = header
+            .opt_str("config_fingerprint")
+            .ok()
+            .flatten()
             .and_then(|fp| u64::from_str_radix(fp.trim_start_matches("0x"), 16).ok());
         if stamped != Some(config_fingerprint) {
             eprintln!(
@@ -109,7 +112,7 @@ impl ResultCache {
             );
             return None;
         }
-        let record = lines.next().and_then(CellRecord::parse)?;
+        let record = CellRecord::from_record(records.next()?).ok()?;
         prof::add(prof::Counter::ResultCacheHits, 1);
         Some(record)
     }
@@ -140,11 +143,7 @@ impl ResultCache {
     /// The provenance header carries `config_fingerprint` for skew
     /// detection on load.
     pub fn store(&self, key: &str, config_fingerprint: u64, record: &CellRecord) -> io::Result<()> {
-        let body = format!(
-            "{}\n{}\n",
-            frame_line(&provenance_line(Some(config_fingerprint), None)),
-            frame_line(&record.to_line()),
-        );
+        let body = frame_lines([provenance_line(Some(config_fingerprint), None), record.to_line()]);
         write_file_durable(&self.entry_path(key), body.as_bytes())
     }
 

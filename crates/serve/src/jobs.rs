@@ -21,7 +21,7 @@ use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 
-use vtq::jsonl::{json_quote, json_str_field};
+use gpusim::frames::{quote, records};
 use vtq::prelude::CancelToken;
 
 use crate::proto::{Frame, SubmitSpec};
@@ -298,18 +298,18 @@ impl PoisonList {
         let mut strikes: HashMap<String, (u32, String)> = HashMap::new();
         match std::fs::read_to_string(&path) {
             Ok(text) => {
-                for line in text.lines() {
-                    if json_str_field(line, "record").as_deref() != Some("poison") {
+                // A line that is not a complete poison record is a torn
+                // tail from a hard kill.
+                for rec in records(&text).flatten() {
+                    if rec.opt_str("record") != Ok(Some("poison")) {
                         continue;
                     }
-                    let (Some(key), Some(detail)) =
-                        (json_str_field(line, "key"), json_str_field(line, "detail"))
-                    else {
-                        continue; // torn tail from a hard kill
+                    let (Ok(key), Ok(detail)) = (rec.str("key"), rec.str("detail")) else {
+                        continue;
                     };
-                    let entry = strikes.entry(key).or_insert((0, String::new()));
+                    let entry = strikes.entry(key.to_string()).or_insert((0, String::new()));
                     entry.0 += 1;
-                    entry.1 = detail;
+                    entry.1 = detail.to_string();
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -330,8 +330,8 @@ impl PoisonList {
         }
         let line = format!(
             "{{\"record\":\"poison\",\"key\":{},\"strikes\":{count},\"detail\":{}}}\n",
-            json_quote(key),
-            json_quote(detail),
+            quote(key),
+            quote(detail),
         );
         let write = OpenOptions::new()
             .create(true)

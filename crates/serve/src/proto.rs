@@ -1,11 +1,11 @@
 //! The wire protocol: line-delimited flat JSON over TCP.
 //!
-//! Every frame is one `\n`-terminated flat JSON object built on the
-//! workspace's [`vtq::jsonl`] primitives — the same closed format the
-//! sweep journal and reproducers use, so a torn frame (a client killed
-//! mid-write) is detected exactly like a torn journal tail: the
-//! escape-aware scanner returns `None` and the server answers with a
-//! typed `bad_request` instead of crashing or hanging.
+//! Every frame is one `\n`-terminated flat JSON object read and written
+//! with the workspace codec [`gpusim::frames::FlatRecord`], the same one
+//! the sweep journal and reproducers use. A torn frame (a peer killed
+//! mid-write) is therefore never a complete object: the server answers
+//! it with a typed `bad_request` and a client gets an `Err`, instead of
+//! either side acting on the fields that happened to arrive.
 //!
 //! Requests carry a `"req"` discriminant; responses a `"resp"` one;
 //! streamed progress a `"event"` one. Unknown fields are ignored (both
@@ -15,9 +15,9 @@ use std::collections::BTreeMap;
 use std::io;
 use std::time::Duration;
 
+use gpusim::frames::{FlatError, FlatRecord};
 use gpusim::TraversalPolicy;
 use rtscene::lumibench::SceneId;
-use vtq::jsonl::{json_quote, json_str_field};
 
 /// Reasons a submission is rejected, as stable wire strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,132 +164,107 @@ pub fn write_line<W: io::Write>(out: &mut W, mut line: String) -> io::Result<()>
     out.write_all(line.as_bytes())
 }
 
-fn int_field(line: &str, name: &str) -> Option<u64> {
-    vtq::jsonl::json_int_field(line, name).ok()
+/// Decodes a fingerprint rendered as 16 hex digits.
+fn hex(v: &str) -> Result<u64, String> {
+    u64::from_str_radix(v, 16).map_err(|_| format!("bad fingerprint `{v}`"))
 }
 
 impl Request {
     /// Serializes the request as one wire line (no trailing newline).
     pub fn to_line(&self) -> String {
+        let req = |name: &str| FlatRecord::default().with_str("req", name);
         match self {
             Request::Submit(spec) => {
                 let scenes: Vec<&str> = spec.scenes.iter().map(|s| s.name()).collect();
                 let policies: Vec<&str> = spec.policies.iter().map(|p| p.label()).collect();
-                let mut line = format!(
-                    "{{\"req\":\"submit\",\"tenant\":{},\"scenes\":{},\"policies\":{},\
-                     \"quick\":{},\"watch\":{}",
-                    json_quote(&spec.tenant),
-                    json_quote(&scenes.join(",")),
-                    json_quote(&policies.join(",")),
-                    u8::from(spec.quick),
-                    u8::from(spec.watch),
-                );
+                let mut rec = req("submit")
+                    .with_str("tenant", &spec.tenant)
+                    .with_str("scenes", &scenes.join(","))
+                    .with_str("policies", &policies.join(","))
+                    .with("quick", u8::from(spec.quick))
+                    .with("watch", u8::from(spec.watch));
                 if let Some(res) = spec.res {
-                    line.push_str(&format!(",\"res\":{res}"));
+                    rec = rec.with("res", res);
                 }
                 if let Some(detail) = spec.detail {
-                    line.push_str(&format!(",\"detail\":{detail}"));
+                    rec = rec.with("detail", detail);
                 }
                 if let Some(deadline) = spec.deadline {
-                    line.push_str(&format!(",\"deadline_ms\":{}", deadline.as_millis()));
+                    rec = rec.with("deadline_ms", deadline.as_millis());
                 }
                 if let Some(fp) = spec.expect_fingerprint {
-                    line.push_str(&format!(
-                        ",\"expect_fingerprint\":{}",
-                        json_quote(&format!("{fp:016x}"))
-                    ));
+                    rec = rec.with_str("expect_fingerprint", &format!("{fp:016x}"));
                 }
                 if !spec.chaos_panic.is_empty() {
-                    line.push_str(&format!(
-                        ",\"chaos_panic\":{}",
-                        json_quote(&spec.chaos_panic.join(","))
-                    ));
+                    rec = rec.with_str("chaos_panic", &spec.chaos_panic.join(","));
                 }
                 if let Some(sleep) = spec.chaos_sleep {
-                    line.push_str(&format!(",\"chaos_sleep_ms\":{}", sleep.as_millis()));
+                    rec = rec.with("chaos_sleep_ms", sleep.as_millis());
                 }
-                line.push('}');
-                line
+                rec
             }
-            Request::Status { job } => match job {
-                Some(job) => format!("{{\"req\":\"status\",\"job\":{}}}", json_quote(job)),
-                None => "{\"req\":\"status\"}".to_string(),
-            },
-            Request::Cancel { job } => {
-                format!("{{\"req\":\"cancel\",\"job\":{}}}", json_quote(job))
-            }
-            Request::Results { job } => {
-                format!("{{\"req\":\"results\",\"job\":{}}}", json_quote(job))
-            }
-            Request::Shutdown => "{\"req\":\"shutdown\"}".to_string(),
+            Request::Status { job: Some(job) } => req("status").with_str("job", job),
+            Request::Status { job: None } => req("status"),
+            Request::Cancel { job } => req("cancel").with_str("job", job),
+            Request::Results { job } => req("results").with_str("job", job),
+            Request::Shutdown => req("shutdown"),
         }
+        .to_string()
     }
 
     /// Parses one wire line. `Err` carries a human-readable reason the
-    /// server echoes inside its `bad_request` rejection.
+    /// server echoes inside its `bad_request` rejection. Optional submit
+    /// fields default when absent; a torn line is never a request.
     pub fn parse(line: &str) -> Result<Request, String> {
-        // A complete frame is one flat JSON object; a line that does not
-        // close its brace was torn mid-write and must never be acted on
-        // (the flat field scanner would otherwise silently default the
-        // missing tail fields).
-        let line = line.trim_end();
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return Err("torn or non-JSON frame".to_string());
-        }
-        let req =
-            json_str_field(line, "req").ok_or_else(|| "missing or torn `req` field".to_string())?;
-        match req.as_str() {
+        FlatRecord::parse(line)
+            .and_then(|rec| Request::from_record(&rec))
+            .map_err(|e| e.to_string())
+    }
+
+    fn from_record(rec: &FlatRecord) -> Result<Request, FlatError> {
+        let ms = |key: &str| Ok::<_, FlatError>(rec.opt_u64(key)?.map(Duration::from_millis));
+        let list = |key: &str| Ok::<_, FlatError>(rec.opt_str(key)?.map(|l| l.split(',')));
+        Ok(match rec.str("req")? {
             "submit" => {
                 let mut spec = SubmitSpec {
-                    tenant: json_str_field(line, "tenant").unwrap_or_else(|| "anon".to_string()),
-                    quick: int_field(line, "quick").unwrap_or(1) != 0,
-                    watch: int_field(line, "watch").unwrap_or(0) != 0,
-                    res: int_field(line, "res").map(|v| v as u32),
-                    detail: int_field(line, "detail").map(|v| v as u32),
-                    deadline: int_field(line, "deadline_ms").map(Duration::from_millis),
-                    chaos_sleep: int_field(line, "chaos_sleep_ms").map(Duration::from_millis),
+                    tenant: rec.opt_str("tenant")?.unwrap_or("anon").to_string(),
+                    quick: rec.opt_u64("quick")?.unwrap_or(1) != 0,
+                    watch: rec.opt_u64("watch")?.unwrap_or(0) != 0,
+                    res: rec.opt_u64("res")?.map(|v| v as u32),
+                    detail: rec.opt_u64("detail")?.map(|v| v as u32),
+                    deadline: ms("deadline_ms")?,
+                    chaos_sleep: ms("chaos_sleep_ms")?,
                     ..SubmitSpec::default()
                 };
-                if let Some(list) = json_str_field(line, "scenes") {
-                    spec.scenes = list
-                        .split(',')
-                        .map(|name| {
-                            parse_scene(name).ok_or_else(|| format!("unknown scene `{name}`"))
-                        })
-                        .collect::<Result<_, _>>()?;
+                if let Some(names) = list("scenes")? {
+                    spec.scenes = names
+                        .map(|n| parse_scene(n).ok_or_else(|| format!("unknown scene `{n}`")))
+                        .collect::<Result<_, _>>()
+                        .map_err(|e| rec.error("scenes", e))?;
                 }
-                if let Some(list) = json_str_field(line, "policies") {
-                    spec.policies = list
-                        .split(',')
-                        .map(|name| {
-                            parse_policy(name).ok_or_else(|| format!("unknown policy `{name}`"))
-                        })
-                        .collect::<Result<_, _>>()?;
+                if let Some(names) = list("policies")? {
+                    spec.policies = names
+                        .map(|n| parse_policy(n).ok_or_else(|| format!("unknown policy `{n}`")))
+                        .collect::<Result<_, _>>()
+                        .map_err(|e| rec.error("policies", e))?;
                 }
-                if let Some(fp) = json_str_field(line, "expect_fingerprint") {
-                    spec.expect_fingerprint = Some(
-                        u64::from_str_radix(&fp, 16)
-                            .map_err(|_| format!("bad expect_fingerprint `{fp}`"))?,
-                    );
+                if rec.opt_str("expect_fingerprint")?.is_some() {
+                    spec.expect_fingerprint = Some(rec.str_with("expect_fingerprint", hex)?);
                 }
-                if let Some(list) = json_str_field(line, "chaos_panic") {
-                    spec.chaos_panic = list.split(',').map(str::to_string).collect();
+                if let Some(labels) = list("chaos_panic")? {
+                    spec.chaos_panic = labels.map(str::to_string).collect();
                 }
                 if spec.scenes.is_empty() || spec.policies.is_empty() {
-                    return Err("empty scene or policy list".to_string());
+                    return Err(rec.error("scenes", "empty scene or policy list"));
                 }
-                Ok(Request::Submit(spec))
+                Request::Submit(spec)
             }
-            "status" => Ok(Request::Status { job: json_str_field(line, "job") }),
-            "cancel" => Ok(Request::Cancel {
-                job: json_str_field(line, "job").ok_or("cancel needs a `job`")?,
-            }),
-            "results" => Ok(Request::Results {
-                job: json_str_field(line, "job").ok_or("results needs a `job`")?,
-            }),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown request `{other}`")),
-        }
+            "status" => Request::Status { job: rec.opt_str("job")?.map(str::to_string) },
+            "cancel" => Request::Cancel { job: rec.str("job")?.to_string() },
+            "results" => Request::Results { job: rec.str("job")?.to_string() },
+            "shutdown" => Request::Shutdown,
+            other => return Err(rec.error("req", format!("unknown request `{other}`"))),
+        })
     }
 }
 
@@ -388,33 +363,36 @@ pub struct CellRecord {
 impl CellRecord {
     /// Renders the flat cache/wire line (no trailing newline).
     pub fn to_line(&self) -> String {
-        format!(
-            "{{\"record\":\"cell_result\",\"scene\":{},\"label\":{},\"fingerprint\":{},\
-             \"cycles\":{},\"rays\":{},\"box_tests\":{},\"tri_tests\":{}}}",
-            json_quote(&self.scene),
-            json_quote(&self.label),
-            json_quote(&format!("{:016x}", self.fingerprint)),
-            self.cycles,
-            self.rays,
-            self.box_tests,
-            self.tri_tests,
-        )
+        FlatRecord::default()
+            .with_str("record", "cell_result")
+            .with_str("scene", &self.scene)
+            .with_str("label", &self.label)
+            .with_str("fingerprint", &format!("{:016x}", self.fingerprint))
+            .with("cycles", self.cycles)
+            .with("rays", self.rays)
+            .with("box_tests", self.box_tests)
+            .with("tri_tests", self.tri_tests)
+            .to_string()
     }
 
     /// Parses a line rendered by [`to_line`](Self::to_line); `None` for
     /// non-`cell_result` records or torn lines.
     pub fn parse(line: &str) -> Option<CellRecord> {
-        if json_str_field(line, "record").as_deref() != Some("cell_result") {
-            return None;
+        CellRecord::from_record(&FlatRecord::parse(line).ok()?).ok()
+    }
+
+    pub(crate) fn from_record(rec: &FlatRecord) -> Result<CellRecord, FlatError> {
+        if rec.str("record")? != "cell_result" {
+            return Err(rec.error("record", "not a `cell_result` record"));
         }
-        Some(CellRecord {
-            scene: json_str_field(line, "scene")?,
-            label: json_str_field(line, "label")?,
-            fingerprint: u64::from_str_radix(&json_str_field(line, "fingerprint")?, 16).ok()?,
-            cycles: int_field(line, "cycles")?,
-            rays: int_field(line, "rays")?,
-            box_tests: int_field(line, "box_tests")?,
-            tri_tests: int_field(line, "tri_tests")?,
+        Ok(CellRecord {
+            scene: rec.str("scene")?.to_string(),
+            label: rec.str("label")?.to_string(),
+            fingerprint: rec.str_with("fingerprint", hex)?,
+            cycles: rec.u64("cycles")?,
+            rays: rec.u64("rays")?,
+            box_tests: rec.u64("box_tests")?,
+            tri_tests: rec.u64("tri_tests")?,
         })
     }
 }
@@ -422,97 +400,95 @@ impl CellRecord {
 impl Frame {
     /// Serializes the frame as one wire line (no trailing newline).
     pub fn to_line(&self) -> String {
+        let resp = |name: &str| FlatRecord::default().with_str("resp", name);
         match self {
-            Frame::Accepted { job, fingerprint, cells } => format!(
-                "{{\"resp\":\"accepted\",\"job\":{},\"fingerprint\":{},\"cells\":{cells}}}",
-                json_quote(job),
-                json_quote(&format!("{fingerprint:016x}")),
-            ),
-            Frame::Rejected { reason, detail } => format!(
-                "{{\"resp\":\"rejected\",\"reason\":\"{}\",\"detail\":{}}}",
-                reason.label(),
-                json_quote(detail),
-            ),
+            Frame::Accepted { job, fingerprint, cells } => resp("accepted")
+                .with_str("job", job)
+                .with_str("fingerprint", &format!("{fingerprint:016x}"))
+                .with("cells", cells),
+            Frame::Rejected { reason, detail } => {
+                resp("rejected").with_str("reason", reason.label()).with_str("detail", detail)
+            }
             Frame::Status { job, state, done_cells, total_cells, cached_cells, failed_cells } => {
-                format!(
-                    "{{\"resp\":\"status\",\"job\":{},\"state\":{},\"done_cells\":{done_cells},\
-                     \"total_cells\":{total_cells},\"cached_cells\":{cached_cells},\
-                     \"failed_cells\":{failed_cells}}}",
-                    json_quote(job),
-                    json_quote(state),
-                )
+                resp("status")
+                    .with_str("job", job)
+                    .with_str("state", state)
+                    .with("done_cells", done_cells)
+                    .with("total_cells", total_cells)
+                    .with("cached_cells", cached_cells)
+                    .with("failed_cells", failed_cells)
             }
-            Frame::Summary { queued, running, finished, poisoned } => format!(
-                "{{\"resp\":\"summary\",\"queued\":{queued},\"running\":{running},\
-                 \"finished\":{finished},\"poisoned\":{poisoned}}}"
-            ),
-            Frame::CellEvent { job, label, status, cycles, rays } => format!(
-                "{{\"event\":\"cell\",\"job\":{},\"label\":{},\"status\":{},\
-                 \"cycles\":{cycles},\"rays\":{rays}}}",
-                json_quote(job),
-                json_quote(label),
-                json_quote(status),
-            ),
-            Frame::CellResult(record) => record.to_line(),
-            Frame::ResultsEnd { cells } => {
-                format!("{{\"resp\":\"results_end\",\"cells\":{cells}}}")
-            }
-            Frame::ShuttingDown => "{\"resp\":\"shutting_down\"}".to_string(),
+            Frame::Summary { queued, running, finished, poisoned } => resp("summary")
+                .with("queued", queued)
+                .with("running", running)
+                .with("finished", finished)
+                .with("poisoned", poisoned),
+            Frame::CellEvent { job, label, status, cycles, rays } => FlatRecord::default()
+                .with_str("event", "cell")
+                .with_str("job", job)
+                .with_str("label", label)
+                .with_str("status", status)
+                .with("cycles", cycles)
+                .with("rays", rays),
+            Frame::CellResult(record) => return record.to_line(),
+            Frame::ResultsEnd { cells } => resp("results_end").with("cells", cells),
+            Frame::ShuttingDown => resp("shutting_down"),
         }
+        .to_string()
     }
 
     /// Parses one server line; `Err` carries the reason (torn frame,
-    /// unknown discriminant).
+    /// unknown discriminant, missing field). Every field
+    /// [`to_line`](Self::to_line) writes is required.
     pub fn parse(line: &str) -> Result<Frame, String> {
-        if let Some(record) = CellRecord::parse(line) {
-            return Ok(Frame::CellResult(record));
+        FlatRecord::parse(line).and_then(|rec| Frame::from_record(&rec)).map_err(|e| e.to_string())
+    }
+
+    fn from_record(rec: &FlatRecord) -> Result<Frame, FlatError> {
+        if rec.opt_str("record")? == Some("cell_result") {
+            return Ok(Frame::CellResult(CellRecord::from_record(rec)?));
         }
-        if json_str_field(line, "event").as_deref() == Some("cell") {
+        let text = |key: &str| rec.str(key).map(str::to_string);
+        let count = |key: &str| rec.u64(key).map(|v| v as usize);
+        if rec.opt_str("event")? == Some("cell") {
             return Ok(Frame::CellEvent {
-                job: json_str_field(line, "job").ok_or("torn event")?,
-                label: json_str_field(line, "label").ok_or("torn event")?,
-                status: json_str_field(line, "status").ok_or("torn event")?,
-                cycles: int_field(line, "cycles").unwrap_or(0),
-                rays: int_field(line, "rays").unwrap_or(0),
+                job: text("job")?,
+                label: text("label")?,
+                status: text("status")?,
+                cycles: rec.u64("cycles")?,
+                rays: rec.u64("rays")?,
             });
         }
-        let resp = json_str_field(line, "resp")
-            .ok_or_else(|| format!("missing or torn `resp` field in `{line}`"))?;
-        match resp.as_str() {
-            "accepted" => Ok(Frame::Accepted {
-                job: json_str_field(line, "job").ok_or("torn accepted frame")?,
-                fingerprint: json_str_field(line, "fingerprint")
-                    .and_then(|fp| u64::from_str_radix(&fp, 16).ok())
-                    .ok_or("torn accepted frame")?,
-                cells: int_field(line, "cells").unwrap_or(0) as usize,
-            }),
-            "rejected" => Ok(Frame::Rejected {
-                reason: json_str_field(line, "reason")
-                    .as_deref()
-                    .and_then(RejectReason::parse)
-                    .ok_or("torn rejected frame")?,
-                detail: json_str_field(line, "detail").unwrap_or_default(),
-            }),
-            "status" => Ok(Frame::Status {
-                job: json_str_field(line, "job").ok_or("torn status frame")?,
-                state: json_str_field(line, "state").ok_or("torn status frame")?,
-                done_cells: int_field(line, "done_cells").unwrap_or(0) as usize,
-                total_cells: int_field(line, "total_cells").unwrap_or(0) as usize,
-                cached_cells: int_field(line, "cached_cells").unwrap_or(0) as usize,
-                failed_cells: int_field(line, "failed_cells").unwrap_or(0) as usize,
-            }),
-            "summary" => Ok(Frame::Summary {
-                queued: int_field(line, "queued").unwrap_or(0) as usize,
-                running: int_field(line, "running").unwrap_or(0) as usize,
-                finished: int_field(line, "finished").unwrap_or(0) as usize,
-                poisoned: int_field(line, "poisoned").unwrap_or(0) as usize,
-            }),
-            "results_end" => {
-                Ok(Frame::ResultsEnd { cells: int_field(line, "cells").unwrap_or(0) as usize })
-            }
-            "shutting_down" => Ok(Frame::ShuttingDown),
-            other => Err(format!("unknown response `{other}`")),
-        }
+        Ok(match rec.str("resp")? {
+            "accepted" => Frame::Accepted {
+                job: text("job")?,
+                fingerprint: rec.str_with("fingerprint", hex)?,
+                cells: count("cells")?,
+            },
+            "rejected" => Frame::Rejected {
+                reason: rec.str_with("reason", |r| {
+                    RejectReason::parse(r).ok_or_else(|| format!("unknown reject reason `{r}`"))
+                })?,
+                detail: text("detail")?,
+            },
+            "status" => Frame::Status {
+                job: text("job")?,
+                state: text("state")?,
+                done_cells: count("done_cells")?,
+                total_cells: count("total_cells")?,
+                cached_cells: count("cached_cells")?,
+                failed_cells: count("failed_cells")?,
+            },
+            "summary" => Frame::Summary {
+                queued: count("queued")?,
+                running: count("running")?,
+                finished: count("finished")?,
+                poisoned: count("poisoned")?,
+            },
+            "results_end" => Frame::ResultsEnd { cells: count("cells")? },
+            "shutting_down" => Frame::ShuttingDown,
+            other => return Err(rec.error("resp", format!("unknown response `{other}`"))),
+        })
     }
 }
 
@@ -640,9 +616,8 @@ mod tests {
         assert!(Request::parse(bad_scene).unwrap_err().contains("NOPE"));
     }
 
-    #[test]
-    fn frames_round_trip() {
-        let frames = [
+    fn all_frames() -> [Frame; 8] {
+        [
             Frame::Accepted { job: "j1".into(), fingerprint: 0xabc, cells: 4 },
             Frame::Rejected { reason: RejectReason::Overloaded, detail: "queue full (16)".into() },
             Frame::Status {
@@ -672,10 +647,38 @@ mod tests {
             }),
             Frame::ResultsEnd { cells: 3 },
             Frame::ShuttingDown,
-        ];
-        for frame in frames {
+        ]
+    }
+
+    #[test]
+    fn frames_round_trip() {
+        for frame in all_frames() {
             assert_eq!(Frame::parse(&frame.to_line()).unwrap(), frame, "{}", frame.to_line());
         }
+    }
+
+    /// A daemon killed mid-write leaves a partial last line; no prefix of
+    /// any frame may parse, or a count cut inside `12` would read as `1`.
+    #[test]
+    fn every_proper_prefix_of_a_frame_is_rejected() {
+        for frame in all_frames() {
+            let line = frame.to_line();
+            for cut in 0..line.len() {
+                let torn = &line[..cut];
+                assert!(Frame::parse(torn).is_err(), "torn frame parsed: {torn}");
+                if let Frame::CellResult(_) = frame {
+                    assert_eq!(CellRecord::parse(torn), None, "torn record parsed: {torn}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frames_missing_a_written_field_are_rejected() {
+        let status = "{\"resp\":\"status\",\"job\":\"j1\",\"state\":\"done\",\"done_cells\":12}";
+        assert!(Frame::parse(status).unwrap_err().contains("total_cells"));
+        let event = "{\"event\":\"cell\",\"job\":\"j1\",\"label\":\"REF/vtq\",\"status\":\"done\"}";
+        assert!(Frame::parse(event).unwrap_err().contains("cycles"));
     }
 
     #[test]

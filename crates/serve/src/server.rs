@@ -8,7 +8,7 @@
 //! thread drains the bounded job queue, running one job at a time on the
 //! shared [`SweepEngine`] worker pool (jobs multiplex onto the pool; the
 //! pool parallelizes within a job). Handlers and the executor share the
-//! [`ServeState`] behind coarse mutexes — every critical section is
+//! `ServeState` behind coarse mutexes — every critical section is
 //! bookkeeping, never simulation.
 //!
 //! # Durability
