@@ -17,8 +17,9 @@
 //!   boundary and resumed (repeatedly, until done) must execute every
 //!   cell exactly once and reproduce the uninterrupted run bit for bit.
 //! * **journal-corrupt** — one seeded bit flip anywhere in a completed
-//!   `journal.jsonl`; resume must truncate the damage, re-run exactly
-//!   the invalidated cells, and converge on the baseline results.
+//!   `journal.jsonl` (journaled by the scenario itself); resume must
+//!   truncate the damage, re-run exactly the invalidated cells, and
+//!   converge on the baseline results.
 //! * **cache-corrupt / rename-fail / short-read** — result-cache
 //!   entries under a seeded bit flip, a failed atomic rename and a
 //!   truncated read: every outcome must be a quarantine-plus-recompute
@@ -36,27 +37,40 @@
 //!   corrupted between submissions must quarantine it, recompute, and
 //!   re-serve bit-identical results.
 //!
-//! The simulation config is pinned tiny (the campaign exercises the
-//! integrity layer, not the simulator); `--quick` only lowers the
-//! default seed count (5 instead of 20) and `--seeds N` overrides it.
-//! With `--out`, per-scenario outcomes are exported to `chaos.jsonl`,
-//! checksum-framed like every other artifact. Any violated invariant
-//! exits [`crate::EXIT_VIOLATION`].
+//! Once per campaign (they draw no seed), the three client-fault
+//! scenarios of [`vtq_serve::chaos`] — slow client, half-written frame,
+//! mid-job kill — run against a daemon with a short read timeout.
+//!
+//! Every scenario is independent, draws its faults from its own
+//! [`XorShiftRng`] stream, and runs serially (seeded kill points and the
+//! process-global disk-fault shim need serialized I/O) through
+//! [`vtq::campaign::run`], so a panicking scenario is a violation rather
+//! than the end of the command. The simulation config is pinned tiny
+//! (the campaign exercises the integrity layer, not the simulator);
+//! `--quick` only lowers the default seed count (5 instead of 20) and
+//! `--seeds N` overrides it. With `--out`, outcomes are exported to
+//! `chaos.jsonl` (see [`vtq::campaign`] for the record shape). Any
+//! violated invariant, or a failed export, exits
+//! [`crate::EXIT_VIOLATION`].
 
 use std::collections::HashMap;
 use std::fs;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-use gpusim::frames::{check_line, frame_line, frame_lines, quote};
-use gpusim::{Checkpoint, Simulator};
+use gpusim::frames::{check_line, frame_line};
+use gpusim::{Checkpoint, RunOptions, Simulator};
+use rtmath::XorShiftRng;
+use vtq::campaign::{self, Outcome, Scenario, Verdict};
 use vtq::diskfault::{arm, disarm, DiskFault, FaultPlan};
 use vtq::prelude::*;
-use vtq_serve::{Client, ResultCache, Server, ServerConfig, SubmitSpec};
+use vtq_serve::{chaos, Client, ResultCache, Server, ServerConfig, SubmitSpec};
 
 use super::perf::{bench_file, parse_bench_file, BenchEntry};
-use crate::{header, row, HarnessOpts};
+use crate::HarnessOpts;
 
 /// Default seed count for the full campaign (the acceptance bar).
 const FULL_SEEDS: u64 = 20;
@@ -72,36 +86,41 @@ const FRAME_SUFFIX_LEN: usize = 18;
 /// signature the campaign compares across recoveries.
 type CellStats = (u64, u64, u64, u64);
 
-/// splitmix64: the repo's standard dependency-free deterministic RNG.
-fn next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// Server-side read timeout of the client-fault daemon: short, so the
+/// slow-client scenario waits it out quickly.
+const CLIENT_TIMEOUT: Duration = Duration::from_millis(300);
+
+/// A per-seed scenario: fixtures, the seed, and the scenario's own RNG.
+type ScenarioFn = fn(&Ctx, u64, &mut XorShiftRng) -> Verdict;
+
+/// The per-seed scenarios, in run order. The live-daemon round runs
+/// last: it owns threads and sockets, so a violation above still reports
+/// before any daemon trouble.
+const SCENARIOS: [(&str, ScenarioFn); 11] = [
+    ("canary", canary),
+    ("journal-kill", journal_kill),
+    ("journal-corrupt", journal_corrupt),
+    ("cache-corrupt", cache_corrupt),
+    ("checkpoint-corrupt", checkpoint_corrupt),
+    ("golden-corrupt", golden_corrupt),
+    ("bench-corrupt", bench_corrupt),
+    ("enospc", enospc_mid_sweep),
+    ("rename-fail", rename_fail),
+    ("short-read", short_read),
+    ("serve-round", serve_round),
+];
 
 /// Flips one seeded low bit (0..7, so ASCII stays ASCII and the result
 /// remains valid UTF-8) at a seeded position of `bytes`.
-fn flip_seeded(bytes: &mut [u8], rng: &mut u64) -> usize {
-    let pos = (next(rng) % bytes.len() as u64) as usize;
-    bytes[pos] ^= 1 << (next(rng) % 7);
+fn flip_seeded(bytes: &mut [u8], rng: &mut XorShiftRng) -> usize {
+    let pos = (rng.next_u64() % bytes.len() as u64) as usize;
+    bytes[pos] ^= 1 << (rng.next_u64() % 7);
     pos
 }
 
 fn stats_of(report: &gpusim::SimReport) -> CellStats {
     let s = &report.stats;
     (s.cycles, s.rays_completed, s.box_tests, s.tri_tests)
-}
-
-/// One scenario's outcome: `Ok(detail)` = fault injected and recovered
-/// (or detected as a typed error), `Err(detail)` = invariant violated.
-type Verdict = Result<String, String>;
-
-struct Outcome {
-    seed: u64,
-    scenario: &'static str,
-    verdict: Verdict,
 }
 
 /// Shared fixtures, built once: the tiny run matrix, its clean-run
@@ -156,12 +175,13 @@ fn build_ctx() -> Result<Ctx, String> {
     let ref_prepared = prepared.get(SceneId::Ref, &cfg);
     let sim = Simulator::new(&ref_prepared.bvh, ref_prepared.scene.triangles(), cfg.gpu);
     let mut snap = None;
+    let mut first = |ck| {
+        if snap.is_none() {
+            snap = Some(ck);
+        }
+    };
     let report = sim
-        .try_run_checkpointed(&ref_prepared.workload, 16, &mut |ck| {
-            if snap.is_none() {
-                snap = Some(ck);
-            }
-        })
+        .try_run_with(&ref_prepared.workload, RunOptions::new().checkpoint(16, &mut first))
         .map_err(|e| format!("checkpoint base run failed: {e}"))?;
     let ckpt = snap.ok_or("checkpoint base run finished before the first checkpoint")?;
     let ckpt_text = ckpt.to_jsonl();
@@ -169,7 +189,7 @@ fn build_ctx() -> Result<Ctx, String> {
     // resume to the uninterrupted run's exact stats before we start
     // damaging copies of it.
     let resumed = Simulator::new(&ref_prepared.bvh, ref_prepared.scene.triangles(), cfg.gpu)
-        .resume_from(&ref_prepared.workload, &ckpt)
+        .try_run_with(&ref_prepared.workload, RunOptions::new().resume(&ckpt))
         .map_err(|e| format!("intact checkpoint failed to resume: {e}"))?;
     if stats_of(&resumed) != stats_of(&report) {
         return Err("intact checkpoint resume diverged from the uninterrupted run".to_string());
@@ -230,13 +250,12 @@ fn build_ctx() -> Result<Ctx, String> {
 /// Frame a record, flip one seeded payload bit, and require the checksum
 /// layer to reject it. The one scenario that needs no injected I/O
 /// fault: it directly catches a build whose verification is disabled.
-fn canary(seed: u64, rng: &mut u64) -> Verdict {
-    let line = format!("{{\"record\":\"canary\",\"seed\":{seed},\"nonce\":{}}}", next(rng));
-    let framed = frame_line(&line);
-    let mut bytes = framed.clone().into_bytes();
+fn canary(_: &Ctx, seed: u64, rng: &mut XorShiftRng) -> Verdict {
+    let nonce = rng.next_u64();
+    let line = format!("{{\"record\":\"canary\",\"seed\":{seed},\"nonce\":{nonce}}}");
+    let mut bytes = frame_line(&line).into_bytes();
     let payload_len = bytes.len() - FRAME_SUFFIX_LEN;
-    let pos = (next(rng) % payload_len as u64) as usize;
-    bytes[pos] ^= 1 << (next(rng) % 7);
+    let pos = flip_seeded(&mut bytes[..payload_len], rng);
     let mutated = String::from_utf8(bytes).expect("low-bit flip keeps ASCII");
     match check_line(&mutated) {
         Err(e) => Ok(format!("payload flip at byte {pos} rejected: {e}")),
@@ -246,10 +265,11 @@ fn canary(seed: u64, rng: &mut u64) -> Verdict {
     }
 }
 
-/// Runs the matrix under a journal in `dir`, killing at a seeded cell
-/// boundary and resuming until complete. Returns the merged per-cell
-/// stats. Exactly-once: every cell executes once across all lives.
-fn journal_kill(ctx: &Ctx, seed: u64, rng: &mut u64, dir: &Path) -> Verdict {
+/// Runs the matrix under a journal, killing at a seeded cell boundary
+/// and resuming until complete. Exactly-once: every cell executes once
+/// across all lives, and the merged results equal the baseline.
+fn journal_kill(ctx: &Ctx, seed: u64, rng: &mut XorShiftRng) -> Verdict {
+    let dir = &ctx.scratch.join(format!("journal-kill-{seed}"));
     let total = ctx.matrix.cells().len();
     let executions = Mutex::new(HashMap::<String, usize>::new());
     let mut merged: Vec<Option<CellStats>> = vec![None; total];
@@ -264,7 +284,8 @@ fn journal_kill(ctx: &Ctx, seed: u64, rng: &mut u64, dir: &Path) -> Verdict {
         let journal = if lives == 1 { SweepJournal::start(dir) } else { SweepJournal::resume(dir) };
         let journal = Arc::new(journal.map_err(|e| format!("journal: {e}"))?);
         let remaining = total - journal.completed_count();
-        let kill = if remaining > 0 { (next(rng) % (remaining as u64 + 1)) as usize } else { 0 };
+        let kill =
+            if remaining > 0 { (rng.next_u64() % (remaining as u64 + 1)) as usize } else { 0 };
         let engine = SweepEngine::with_cache(1, Arc::clone(&ctx.prepared))
             .with_journal(journal)
             .scoped("chaos");
@@ -303,12 +324,21 @@ fn journal_kill(ctx: &Ctx, seed: u64, rng: &mut u64, dir: &Path) -> Verdict {
     Ok("killed at seeded boundaries; exactly-once and bit-identical".to_string())
 }
 
-/// Flips one seeded bit anywhere in the completed journal from
-/// [`journal_kill`], resumes, and requires: no invented completions, the
-/// invalidated cells (and only their results) re-execute bit-identically,
-/// and the journal converges back to fully complete.
-fn journal_corrupt(ctx: &Ctx, rng: &mut u64, dir: &Path) -> Verdict {
+/// Journals the whole matrix, flips one seeded bit anywhere in the
+/// completed journal, resumes, and requires: no invented completions,
+/// the invalidated cells (and only their results) re-execute
+/// bit-identically, and the journal converges back to fully complete.
+fn journal_corrupt(ctx: &Ctx, seed: u64, rng: &mut XorShiftRng) -> Verdict {
+    let dir = &ctx.scratch.join(format!("journal-corrupt-{seed}"));
     let total = ctx.matrix.cells().len();
+    reset_cancel();
+    let journal = Arc::new(SweepJournal::start(dir).map_err(|e| format!("journal: {e}"))?);
+    let engine =
+        SweepEngine::with_cache(1, Arc::clone(&ctx.prepared)).with_journal(journal).scoped("chaos");
+    for r in engine.run_map(&ctx.matrix, |cell, p| stats_of(&p.run_policy(cell.policy))) {
+        r.map_err(|e| format!("journaling run: {e}"))?;
+    }
+    drop(engine);
     let path = dir.join(JOURNAL_FILE);
     let text = fs::read(&path).map_err(|e| format!("read journal: {e}"))?;
     let done_before: std::collections::HashSet<String> = {
@@ -394,7 +424,7 @@ fn synthetic_record(seed: u64) -> vtq_serve::CellRecord {
 /// Seeded bit flip in a stored cache entry: the load must quarantine and
 /// recompute (miss) or serve the exact original record — never different
 /// data.
-fn cache_corrupt(ctx: &Ctx, seed: u64, rng: &mut u64) -> Verdict {
+fn cache_corrupt(ctx: &Ctx, seed: u64, rng: &mut XorShiftRng) -> Verdict {
     let dir = ctx.scratch.join(format!("cache-{seed}"));
     let cache = ResultCache::open(&dir).map_err(|e| format!("open cache: {e}"))?;
     let rec = synthetic_record(seed);
@@ -425,7 +455,7 @@ fn cache_corrupt(ctx: &Ctx, seed: u64, rng: &mut u64) -> Verdict {
 /// typed error (or, when the flip lands in the frame's own field text,
 /// re-serialize to the identical original); recovery is a fresh run with
 /// the original run's exact stats.
-fn checkpoint_corrupt(ctx: &Ctx, rng: &mut u64) -> Verdict {
+fn checkpoint_corrupt(ctx: &Ctx, _: u64, rng: &mut XorShiftRng) -> Verdict {
     let mut bytes = ctx.ckpt_text.clone().into_bytes();
     let pos = flip_seeded(&mut bytes, rng);
     let outcome = match String::from_utf8(bytes) {
@@ -457,7 +487,7 @@ fn checkpoint_corrupt(ctx: &Ctx, rng: &mut u64) -> Verdict {
 /// Seeded bit flip in a golden snapshot file: `check_golden` must report
 /// `Corrupt` (then regenerate cleanly) or — for a payload-intact flip —
 /// still `Match`; any other outcome means damage changed the semantics.
-fn golden_corrupt(ctx: &Ctx, seed: u64, rng: &mut u64) -> Verdict {
+fn golden_corrupt(ctx: &Ctx, seed: u64, rng: &mut XorShiftRng) -> Verdict {
     let dir = ctx.scratch.join(format!("golden-{seed}"));
     write_golden(&dir, std::slice::from_ref(&ctx.golden)).map_err(|e| format!("write: {e}"))?;
     let path = dir.join(format!("{}.json", ctx.golden.figure));
@@ -500,7 +530,7 @@ fn golden_corrupt(ctx: &Ctx, seed: u64, rng: &mut u64) -> Verdict {
 /// Seeded bit flip in a perf BENCH baseline: parsing must fail with a
 /// typed error (the harness's exit-2 path) or yield the identical
 /// entries; a regenerated baseline must round-trip.
-fn bench_corrupt(ctx: &Ctx, rng: &mut u64) -> Verdict {
+fn bench_corrupt(ctx: &Ctx, _: u64, rng: &mut XorShiftRng) -> Verdict {
     let mut bytes = ctx.bench_text.clone().into_bytes();
     let pos = flip_seeded(&mut bytes, rng);
     let outcome = match String::from_utf8(bytes) {
@@ -526,7 +556,7 @@ fn bench_corrupt(ctx: &Ctx, rng: &mut u64) -> Verdict {
 /// Simulated ENOSPC on a seeded journal write mid-sweep: the sweep must
 /// survive (loss counted via `note_drop`), and a resume must redo only
 /// the under-recorded cells, bit-identically.
-fn enospc_mid_sweep(ctx: &Ctx, seed: u64, rng: &mut u64) -> Verdict {
+fn enospc_mid_sweep(ctx: &Ctx, seed: u64, rng: &mut XorShiftRng) -> Verdict {
     let total = ctx.matrix.cells().len();
     let dir = ctx.scratch.join(format!("enospc-{seed}"));
     let _ = fs::remove_dir_all(&dir);
@@ -536,7 +566,7 @@ fn enospc_mid_sweep(ctx: &Ctx, seed: u64, rng: &mut u64) -> Verdict {
         .with_journal(Arc::clone(&journal))
         .scoped("chaos");
     // Arm after the session header so the fault lands on a cell record.
-    arm(FaultPlan { fault: DiskFault::Enospc, skip_ops: next(rng) % total as u64, seed });
+    arm(FaultPlan { fault: DiskFault::Enospc, skip_ops: rng.next_u64() % total as u64, seed });
     let results = engine.run_map(&ctx.matrix, |cell, p| stats_of(&p.run_policy(cell.policy)));
     let fired = disarm();
     if fired.is_none() {
@@ -596,7 +626,7 @@ fn enospc_mid_sweep(ctx: &Ctx, seed: u64, rng: &mut u64) -> Verdict {
 
 /// Failed atomic rename while publishing a cache entry: nothing may be
 /// published (no torn entry), and a retried store must round-trip.
-fn rename_fail(ctx: &Ctx, seed: u64) -> Verdict {
+fn rename_fail(ctx: &Ctx, seed: u64, _: &mut XorShiftRng) -> Verdict {
     let dir = ctx.scratch.join(format!("rename-{seed}"));
     let cache = ResultCache::open(&dir).map_err(|e| format!("open cache: {e}"))?;
     let rec = synthetic_record(seed);
@@ -623,7 +653,7 @@ fn rename_fail(ctx: &Ctx, seed: u64) -> Verdict {
 
 /// Short read while loading a cache entry: the truncated text must read
 /// as the full record or a quarantined miss — never partial data.
-fn short_read(ctx: &Ctx, seed: u64) -> Verdict {
+fn short_read(ctx: &Ctx, seed: u64, _: &mut XorShiftRng) -> Verdict {
     let dir = ctx.scratch.join(format!("shortread-{seed}"));
     let cache = ResultCache::open(&dir).map_err(|e| format!("open cache: {e}"))?;
     let rec = synthetic_record(seed);
@@ -651,7 +681,7 @@ fn short_read(ctx: &Ctx, seed: u64) -> Verdict {
 
 /// Live daemon round: submit, corrupt the on-disk cache entry, resubmit;
 /// the daemon must quarantine, recompute, and re-serve identical records.
-fn serve_round(ctx: &Ctx, seed: u64, rng: &mut u64) -> Verdict {
+fn serve_round(ctx: &Ctx, seed: u64, rng: &mut XorShiftRng) -> Verdict {
     let dir = ctx.scratch.join(format!("serve-{seed}"));
     let mut config = ServerConfig::new(dir.clone());
     config.jobs = 1;
@@ -663,8 +693,9 @@ fn serve_round(ctx: &Ctx, seed: u64, rng: &mut u64) -> Verdict {
     verdict
 }
 
-fn serve_round_inner(dir: &Path, addr: std::net::SocketAddr, rng: &mut u64) -> Verdict {
-    let spec = SubmitSpec {
+/// The small-but-real sweep the daemon scenarios submit.
+fn tiny_spec() -> SubmitSpec {
+    SubmitSpec {
         tenant: "chaos".to_string(),
         scenes: vec![SceneId::Ref],
         policies: vec![TraversalPolicy::Baseline],
@@ -672,7 +703,11 @@ fn serve_round_inner(dir: &Path, addr: std::net::SocketAddr, rng: &mut u64) -> V
         res: Some(8),
         detail: Some(64),
         ..SubmitSpec::default()
-    };
+    }
+}
+
+fn serve_round_inner(dir: &Path, addr: SocketAddr, rng: &mut XorShiftRng) -> Verdict {
+    let spec = tiny_spec();
     let submit = |client: &mut Client, spec: SubmitSpec| -> Result<String, String> {
         match client.submit_and_watch(spec, |_| {})? {
             vtq_serve::Frame::Status { job, .. } => Ok(job),
@@ -712,31 +747,14 @@ fn serve_round_inner(dir: &Path, addr: std::net::SocketAddr, rng: &mut u64) -> V
 // Campaign driver
 // ---------------------------------------------------------------------------
 
-fn chaos_jsonl(seeds: u64, outcomes: &[Outcome]) -> String {
-    let violations = outcomes.iter().filter(|o| o.verdict.is_err()).count();
-    let scenarios = outcomes.iter().map(|o| {
-        let (ok, detail) = match &o.verdict {
-            Ok(d) => (1, d),
-            Err(d) => (0, d),
-        };
-        format!(
-            "{{\"record\":\"chaos_scenario\",\"seed\":{},\"scenario\":{},\"ok\":{ok},\
-             \"detail\":{}}}",
-            o.seed,
-            quote(o.scenario),
-            quote(detail),
-        )
-    });
-    let summary = format!(
-        "{{\"record\":\"chaos_summary\",\"seeds\":{seeds},\"scenarios\":{},\"violations\":{}}}",
-        outcomes.len(),
-        violations,
-    );
-    frame_lines(
-        std::iter::once(provenance_line(None, None))
-            .chain(scenarios)
-            .chain(std::iter::once(summary)),
-    )
+/// The client-fault scenarios of [`vtq_serve::chaos`] against the
+/// daemon at `addr` (seed 0: they draw none).
+fn client_fault_scenarios(addr: SocketAddr) -> Vec<Scenario<'static>> {
+    vec![
+        Scenario::new("slow-client", 0, move |_| Ok(chaos::slow_client(addr, CLIENT_TIMEOUT))),
+        Scenario::new("half-written-frame", 0, move |_| Ok(chaos::half_written_frame(addr))),
+        Scenario::new("mid-job-kill", 0, move |_| Ok(chaos::mid_job_kill(addr, tiny_spec()))),
+    ]
 }
 
 fn campaign(opts: &HarnessOpts) -> u8 {
@@ -745,7 +763,6 @@ fn campaign(opts: &HarnessOpts) -> u8 {
     } else {
         FULL_SEEDS
     });
-    eprintln!("[chaos] campaign over {seeds} seed(s), 10 scenarios each");
     let ctx = match build_ctx() {
         Ok(ctx) => ctx,
         Err(e) => {
@@ -753,80 +770,48 @@ fn campaign(opts: &HarnessOpts) -> u8 {
             return crate::EXIT_VIOLATION;
         }
     };
+    let ctx = &ctx;
+    let scenarios: Vec<Scenario<'_>> = (0..seeds)
+        .flat_map(|seed| {
+            SCENARIOS.iter().enumerate().map(move |(index, &(name, scenario))| {
+                Scenario::new(name, seed, move |_| {
+                    Ok(scenario(ctx, seed, &mut XorShiftRng::new(seed).split(index as u64)))
+                })
+            })
+        })
+        .collect();
+    eprintln!("[chaos] campaign over {seeds} seed(s), {} scenarios each", SCENARIOS.len());
+    let engine = SweepEngine::new(1);
+    let mut report = campaign::run(&engine, scenarios, 0);
 
-    let mut outcomes = Vec::new();
-    for seed in 0..seeds {
-        let mut rng = 0x5eed_c805 ^ seed.wrapping_mul(0x0123_4567_89ab_cdef);
-        let journal_dir = ctx.scratch.join(format!("journal-{seed}"));
-        let kill = journal_kill(&ctx, seed, &mut rng, &journal_dir);
-        let corrupt_journal = if kill.is_ok() {
-            journal_corrupt(&ctx, &mut rng, &journal_dir)
-        } else {
-            Err("skipped: journal-kill failed".to_string())
-        };
-        let run: [(&'static str, Verdict); 10] = [
-            ("canary", canary(seed, &mut rng)),
-            ("journal-kill", kill),
-            ("journal-corrupt", corrupt_journal),
-            ("cache-corrupt", cache_corrupt(&ctx, seed, &mut rng)),
-            ("checkpoint-corrupt", checkpoint_corrupt(&ctx, &mut rng)),
-            ("golden-corrupt", golden_corrupt(&ctx, seed, &mut rng)),
-            ("bench-corrupt", bench_corrupt(&ctx, &mut rng)),
-            ("enospc", enospc_mid_sweep(&ctx, seed, &mut rng)),
-            ("rename-fail", rename_fail(&ctx, seed)),
-            ("short-read", short_read(&ctx, seed)),
-        ];
-        for (scenario, verdict) in run {
-            if let Err(detail) = &verdict {
-                eprintln!("[chaos] VIOLATION seed {seed} {scenario}: {detail}");
+    // The client-fault daemon starts only now: the per-seed scenarios
+    // raise the process-global cancel flag, which a live daemon obeys as
+    // a drain request.
+    let mut config = ServerConfig::new(ctx.scratch.join("client-faults"));
+    config.jobs = 1;
+    config.client_timeout = CLIENT_TIMEOUT;
+    match Server::spawn(config) {
+        Ok(daemon) => {
+            let client_faults = client_fault_scenarios(daemon.addr());
+            eprintln!(
+                "[chaos] {} client-fault scenarios against a live daemon",
+                client_faults.len()
+            );
+            report.outcomes.extend(campaign::run(&engine, client_faults, 0).outcomes);
+            if let Err(e) = daemon.shutdown() {
+                eprintln!("[chaos] client-fault daemon shutdown: {e}");
             }
-            outcomes.push(Outcome { seed, scenario, verdict });
         }
-        // The live-daemon round last: it owns threads and sockets, so a
-        // violation above still reports before any daemon trouble.
-        let verdict = serve_round(&ctx, seed, &mut rng);
-        if let Err(detail) = &verdict {
-            eprintln!("[chaos] VIOLATION seed {seed} serve-round: {detail}");
-        }
-        outcomes.push(Outcome { seed, scenario: "serve-round", verdict });
+        Err(e) => report.outcomes.push(Outcome {
+            scenario: "client-faults".to_string(),
+            seed: 0,
+            retries: 0,
+            verdict: Err(format!("cannot spawn the client-fault daemon: {e}")),
+        }),
     }
     let _ = fs::remove_dir_all(&ctx.scratch);
 
-    // Aggregate table: one row per scenario.
-    header(&["scenario", "runs", "recovered", "violations"]);
-    let mut order: Vec<&'static str> = Vec::new();
-    for o in &outcomes {
-        if !order.contains(&o.scenario) {
-            order.push(o.scenario);
-        }
-    }
-    let mut violations = 0usize;
-    for scenario in order {
-        let runs = outcomes.iter().filter(|o| o.scenario == scenario).count();
-        let bad = outcomes.iter().filter(|o| o.scenario == scenario && o.verdict.is_err()).count();
-        violations += bad;
-        row(scenario, &[runs.to_string(), (runs - bad).to_string(), bad.to_string()]);
-    }
-    println!(
-        "\nchaos campaign: {} scenario runs over {seeds} seed(s), {violations} violation(s)",
-        outcomes.len()
-    );
-
-    if let Some(dir) = &opts.out {
-        let path = dir.join("chaos.jsonl");
-        match vtq::diskfault::write_file_durable(&path, chaos_jsonl(seeds, &outcomes).as_bytes()) {
-            Ok(()) => eprintln!("[chaos] outcomes in {}", path.display()),
-            Err(e) => {
-                eprintln!("[chaos] cannot write {}: {e}", path.display());
-                return crate::EXIT_VIOLATION;
-            }
-        }
-    }
-    if violations > 0 {
-        crate::EXIT_VIOLATION
-    } else {
-        crate::EXIT_OK
-    }
+    crate::report_campaign("chaos", &report, opts, provenance_line(None, None))
 }
 
 pub fn run(opts: &HarnessOpts, _engine: &SweepEngine) -> u8 {

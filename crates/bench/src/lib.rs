@@ -602,6 +602,43 @@ pub fn row(scene: &str, values: &[String]) {
     println!("{line}");
 }
 
+/// Prints a fault-campaign report — one table row per scenario, the
+/// summary line, and one stderr line per violation tagged `[tag]` — and,
+/// with `--out DIR`, exports it to `DIR/{tag}.jsonl` headed by
+/// `provenance`. Returns the exit code: [`EXIT_VIOLATION`] on any
+/// violation or a failed export, else [`EXIT_OK`].
+pub fn report_campaign(
+    tag: &str,
+    report: &vtq::campaign::Report,
+    opts: &HarnessOpts,
+    provenance: String,
+) -> u8 {
+    header(&["scenario", "runs", "ok", "violations"]);
+    for r in report.table() {
+        row(
+            &r.scenario,
+            &[r.runs.to_string(), (r.runs - r.violations).to_string(), r.violations.to_string()],
+        );
+    }
+    println!("\n{tag}: {}", report.summary());
+    for o in report.violations() {
+        let detail = o.verdict.as_ref().err().map_or("", String::as_str);
+        eprintln!("[{tag}] VIOLATION {} (seed {:#x}): {detail}", o.scenario, o.seed);
+    }
+    let mut code = if report.is_clean() { EXIT_OK } else { EXIT_VIOLATION };
+    if let Some(dir) = &opts.out {
+        let path = dir.join(format!("{tag}.jsonl"));
+        match report.export(&path, provenance) {
+            Ok(()) => eprintln!("[{tag}] outcomes in {}", path.display()),
+            Err(e) => {
+                eprintln!("[{tag}] cannot write {}: {e}", path.display());
+                code = EXIT_VIOLATION;
+            }
+        }
+    }
+    code
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,16 +33,17 @@ fn quick_campaign_recovers_every_fault_and_exports_framed_outcomes() {
     for line in text.lines().filter(|l| !l.trim().is_empty()) {
         assert!(gpusim::frames::is_framed(line), "unframed line in chaos.jsonl: {line}");
         let payload = gpusim::frames::check_line(line).expect("every line passes its checksum");
-        if payload.contains("\"record\":\"chaos_scenario\"") {
+        if payload.contains("\"record\":\"scenario\"") {
             scenarios += 1;
             assert!(payload.contains("\"ok\":1"), "violating scenario exported: {payload}");
         }
-        if payload.contains("\"record\":\"chaos_summary\"") {
+        if payload.contains("\"record\":\"campaign_summary\"") {
             summary = Some(payload);
         }
     }
-    // 2 seeds x 11 scenarios, plus the summary trailer.
-    assert_eq!(scenarios, 22, "campaign exported all scenario outcomes");
+    // 2 seeds x 11 scenarios plus the 3 client-fault scenarios, then the
+    // summary trailer.
+    assert_eq!(scenarios, 25, "campaign exported all scenario outcomes");
     let summary = summary.expect("summary record present");
     assert!(summary.contains("\"violations\":0"), "summary must be clean: {summary}");
 

@@ -14,7 +14,7 @@
 //!    every preset (baseline, prefetch, VTQ and its grouping / repacking /
 //!    virtualization variants, ray-path prediction, and the
 //!    quantized-node BVH build), extracts the per-ray
-//!    [`PrimHit`] records via [`gpusim::Simulator::try_run_with_hits`] and
+//!    [`PrimHit`] records via [`gpusim::RunOptions::capture_hits`] and
 //!    asserts **bit-equal** `(prim, t)` agreement with the oracle for
 //!    closest-hit queries (hit-vs-miss agreement for anyhit queries,
 //!    whose terminating occluder is order-dependent by design). The first

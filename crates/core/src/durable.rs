@@ -28,8 +28,8 @@ use std::time::{Duration, Instant};
 
 use gpusim::frames::{frame_line, frame_lines, quote, records, FlatError, FlatRecord};
 use gpusim::{
-    AuditMode, GpuConfig, PathTask, Sabotage, SimError, SimReport, Simulator, TraceCall,
-    TraversalPolicy, VtqParams, Workload,
+    AuditMode, GpuConfig, PathTask, RunOptions, Sabotage, SimError, SimReport, Simulator,
+    TraceCall, TraversalPolicy, VtqParams, Workload,
 };
 use rtbvh::{Bvh, BvhConfig};
 use rtmath::Ray;
@@ -821,7 +821,7 @@ impl Repro {
         );
         let sim = Simulator::new(&bvh, scene.triangles(), self.gpu);
         match self.sabotage {
-            Some(s) => sim.try_run_sabotaged(&self.workload, s),
+            Some(s) => sim.try_run_with(&self.workload, RunOptions::new().sabotage(s)),
             None => sim.try_run(&self.workload),
         }
     }
@@ -940,7 +940,7 @@ pub fn shrink_failure(
     let sim = Simulator::new(&bvh, built.triangles(), *gpu);
     let mut oracle = |w: &Workload| {
         let run = match sabotage {
-            Some(s) => sim.try_run_sabotaged(w, s),
+            Some(s) => sim.try_run_with(w, RunOptions::new().sabotage(s)),
             None => sim.try_run(w),
         };
         matches!(run, Err(ref e) if e.kind() == expected_kind)

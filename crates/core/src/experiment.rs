@@ -13,8 +13,8 @@ use std::path::Path;
 use gpumem::{AccessKind, WindowPoint};
 use gpusim::export::{metrics_json, series_csv, stall_csv};
 use gpusim::{
-    GpuConfig, HitCapture, PredictParams, SimError, SimReport, SimStats, Simulator, TraceSink,
-    TraversalMode, TraversalPolicy, VtqParams, Workload,
+    GpuConfig, HitCapture, PredictParams, RunOptions, SimError, SimReport, SimStats, Simulator,
+    TraceSink, TraversalMode, TraversalPolicy, VtqParams, Workload,
 };
 use rtbvh::{Bvh, BvhConfig, NodeFormat};
 use rtscene::lumibench::{self, SceneId};
@@ -164,8 +164,11 @@ impl Prepared {
         &self,
         policy: TraversalPolicy,
     ) -> Result<(SimReport, HitCapture), SimError> {
-        Simulator::new(&self.bvh, self.scene.triangles(), self.gpu.with_policy(policy))
-            .try_run_with_hits(&self.workload)
+        let mut capture = None;
+        let report =
+            Simulator::new(&self.bvh, self.scene.triangles(), self.gpu.with_policy(policy))
+                .try_run_with(&self.workload, RunOptions::new().capture_hits(&mut capture))?;
+        Ok((report, capture.expect("a completed run always fills the requested capture")))
     }
 
     /// Like [`Prepared::run_policy`], but streams trace events into
@@ -180,7 +183,7 @@ impl Prepared {
         sink: &mut dyn TraceSink,
     ) -> SimReport {
         Simulator::new(&self.bvh, self.scene.triangles(), self.gpu.with_policy(policy))
-            .try_run_traced(&self.workload, sink)
+            .try_run_with(&self.workload, RunOptions::new().trace(sink))
             .unwrap_or_else(|e| panic!("{e}"))
     }
 

@@ -10,9 +10,11 @@
 //! `Ok` or with a *typed* [`SimError`] that matches the fault's expected
 //! failure mode; and control cells (no perturbation) complete cleanly.
 //!
-//! Cells execute on the [`SweepEngine`] with
-//! per-cell panic isolation and a bounded retry loop that doubles the
-//! cycle budget on [`SimError::CycleBudget`] trips.
+//! Cells run through the one campaign runner, [`campaign::run`], on the
+//! [`SweepEngine`]: per-cell panic isolation and a bounded retry loop
+//! that doubles the cycle budget on [`SimError::CycleBudget`] trips.
+//! Each outcome is named after its [`FaultKind`] and carries the cell
+//! seed.
 
 use std::fmt;
 use std::sync::Arc;
@@ -21,8 +23,10 @@ use gpumem::MemFaults;
 use gpusim::{
     AuditMode, SimError, Simulator, TraversalPolicy, VtqParams, Workload, DEFAULT_AUDIT_INTERVAL,
 };
+use rtmath::XorShiftRng;
 use rtscene::lumibench::SceneId;
 
+use crate::campaign::{self, Report, Scenario, Verdict};
 use crate::experiment::ExperimentConfig;
 use crate::sweep::SweepEngine;
 
@@ -94,7 +98,7 @@ pub struct FaultCell {
     pub index: usize,
     /// The perturbation this cell applies.
     pub kind: FaultKind,
-    /// Per-cell seed (derived from the campaign seed via splitmix64).
+    /// Per-cell seed (drawn from the campaign seed's [`XorShiftRng`]).
     pub seed: u64,
 }
 
@@ -140,126 +144,53 @@ impl CampaignConfig {
     }
 }
 
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// Deals the campaign's cells: kinds round-robin through
-/// [`FaultKind::ALL`] (so controls recur every 8 cells), seeds derived
-/// per-cell from the master seed. Deterministic in `cfg.seed` and
-/// `cfg.cells`.
+/// [`FaultKind::ALL`] (so controls recur every 8 cells), seeds drawn in
+/// cell order from an [`XorShiftRng`] seeded with the master seed.
+/// Deterministic in `cfg.seed` and `cfg.cells`.
 pub fn generate_cells(cfg: &CampaignConfig) -> Vec<FaultCell> {
+    let mut rng = XorShiftRng::new(cfg.seed);
     (0..cfg.cells)
         .map(|index| FaultCell {
             index,
             kind: FaultKind::ALL[index % FaultKind::ALL.len()],
-            seed: splitmix64(cfg.seed.wrapping_add(index as u64)),
+            seed: rng.next_u64(),
         })
         .collect()
 }
 
-/// How a cell ended.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CellStatus {
-    /// The simulation ran to completion under the auditor.
-    Completed {
-        /// Kernel cycles.
-        cycles: u64,
-        /// Rays completed.
-        rays_completed: u64,
-    },
-    /// The simulation ended with a typed [`SimError`].
-    Failed {
-        /// [`SimError::kind`] of the final error.
-        error_kind: String,
-        /// The error's Display rendering.
-        message: String,
-    },
-    /// The cell panicked — always a campaign failure.
-    Panicked {
-        /// The panic payload.
-        message: String,
-    },
-}
-
-/// One cell's outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellOutcome {
-    /// Stable cell index.
-    pub index: usize,
-    /// The perturbation applied.
-    pub kind: FaultKind,
-    /// The cell's label (`faults/<index>/<kind>`).
-    pub label: String,
-    /// Retries consumed by the cycle-budget escalation loop.
-    pub retries: u32,
-    /// The watchdog budget of the final attempt (doubled per retry), so
-    /// escalated cells are visible in exports without re-deriving the
-    /// doubling arithmetic.
-    pub final_budget: u64,
-    /// Final status.
-    pub status: CellStatus,
-}
-
-impl CellOutcome {
-    /// Whether the status matches the fault kind's contract: panics are
-    /// never acceptable; degenerate workloads must be rejected as
-    /// `workload` errors; tiny budgets may complete (retries escalate the
-    /// budget) or trip `cycle-budget`; everything else must complete.
-    pub fn as_expected(&self) -> bool {
-        match (&self.status, self.kind) {
-            (CellStatus::Panicked { .. }, _) => false,
-            (CellStatus::Completed { .. }, FaultKind::DegenerateWorkload) => false,
-            (CellStatus::Completed { .. }, _) => true,
-            (CellStatus::Failed { error_kind, .. }, FaultKind::DegenerateWorkload) => {
-                error_kind == "workload"
-            }
-            (CellStatus::Failed { error_kind, .. }, FaultKind::TinyCycleBudget) => {
-                error_kind == "cycle-budget"
-            }
-            (CellStatus::Failed { .. }, _) => false,
-        }
-    }
-}
-
-/// The whole campaign's outcomes, in cell order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignReport {
-    /// Per-cell outcomes.
-    pub cells: Vec<CellOutcome>,
-}
-
-impl CampaignReport {
-    /// `true` when every cell ended as its fault kind's contract demands
-    /// (see [`CellOutcome::as_expected`]).
-    pub fn is_clean(&self) -> bool {
-        self.cells.iter().all(CellOutcome::as_expected)
-    }
-
-    /// The cells that broke their contract.
-    pub fn violations(&self) -> Vec<&CellOutcome> {
-        self.cells.iter().filter(|c| !c.as_expected()).collect()
-    }
-
-    /// One-line digest: cell count, completions, typed failures by kind,
-    /// panics, contract violations.
-    pub fn summary(&self) -> String {
-        let ok =
-            self.cells.iter().filter(|c| matches!(c.status, CellStatus::Completed { .. })).count();
-        let failed =
-            self.cells.iter().filter(|c| matches!(c.status, CellStatus::Failed { .. })).count();
-        let panicked =
-            self.cells.iter().filter(|c| matches!(c.status, CellStatus::Panicked { .. })).count();
-        let retries: u32 = self.cells.iter().map(|c| c.retries).sum();
-        format!(
-            "{} cells: {ok} completed, {failed} typed errors, {panicked} panics, \
-             {retries} retries, {} contract violations",
-            self.cells.len(),
-            self.violations().len(),
-        )
+/// Judges a cell's final attempt against its kind's contract: degenerate
+/// workloads must be rejected as `workload` errors; tiny budgets may
+/// complete (retries escalate the budget) or trip `cycle-budget`;
+/// controls must complete with rays traced; every other kind must
+/// complete. The detail starts with the status (`completed` or the
+/// [`SimError::kind`]) and names the retries, final budget, cycles and
+/// rays.
+fn judge(
+    kind: FaultKind,
+    retries: u32,
+    budget: u64,
+    result: &Result<(u64, u64), SimError>,
+) -> Verdict {
+    let (status, cycles, rays, error) = match result {
+        Ok((cycles, rays)) => ("completed", *cycles, *rays, String::new()),
+        Err(e) => (e.kind(), 0, 0, format!(": {e}")),
+    };
+    let detail = format!(
+        "{status} after {retries} retries (final budget {budget}): {cycles} cycles, {rays} rays{error}"
+    );
+    let kept = match (result, kind) {
+        (Ok(_), FaultKind::DegenerateWorkload) => false,
+        (Ok((_, rays)), FaultKind::Control) => *rays > 0,
+        (Ok(_), _) => true,
+        (Err(e), FaultKind::DegenerateWorkload) => e.kind() == "workload",
+        (Err(e), FaultKind::TinyCycleBudget) => e.kind() == "cycle-budget",
+        (Err(_), _) => false,
+    };
+    if kept {
+        Ok(detail)
+    } else {
+        Err(detail)
     }
 }
 
@@ -341,53 +272,35 @@ fn cell_gpu(
 
 /// Runs the campaign on `engine`: one prepared scene (via the engine's
 /// cache), one simulator per cell with the cell's perturbation, panic
-/// isolation per cell, and cycle-budget-doubling retries. Returns
-/// outcomes in cell order.
-pub fn run_campaign(cfg: &CampaignConfig, engine: &SweepEngine) -> CampaignReport {
+/// isolation per cell, and cycle-budget-doubling retries. Each outcome
+/// is named after its cell's [`FaultKind::label`] and carries the cell
+/// seed; outcomes come back in cell order.
+pub fn run_campaign(cfg: &CampaignConfig, engine: &SweepEngine) -> Report {
     let prepared = engine.cache().get(cfg.scene, &cfg.config);
-    let cells = generate_cells(cfg);
-    let tasks: Vec<(String, _)> = cells
-        .iter()
-        .map(|&cell| {
+    let scenarios = generate_cells(cfg)
+        .into_iter()
+        .map(|cell| {
             let prepared = Arc::clone(&prepared);
             let cfg = *cfg;
-            let run = move |attempt: u32| -> Result<(u64, u64), SimError> {
-                let (gpu, workload) = cell_inputs(&cfg, cell, attempt, &prepared.workload)?;
-                let report = Simulator::new(&prepared.bvh, prepared.scene.triangles(), gpu)
-                    .try_run(&workload)?;
-                Ok((report.stats.cycles, report.stats.rays_completed))
-            };
-            (format!("faults/{}/{}", cell.index, cell.kind.label()), run)
-        })
-        .collect();
-    let results = engine.run_tasks_retrying(tasks, cfg.max_retries, |e: &SimError| {
-        matches!(e, SimError::CycleBudget { .. })
-    });
-    let outcomes = cells
-        .iter()
-        .zip(results)
-        .map(|(cell, result)| {
-            let label = format!("faults/{}/{}", cell.index, cell.kind.label());
-            let (retries, status) = match result {
-                Ok(retried) => (
-                    retried.retries,
-                    match retried.result {
-                        Ok((cycles, rays_completed)) => {
-                            CellStatus::Completed { cycles, rays_completed }
-                        }
-                        Err(e) => CellStatus::Failed {
-                            error_kind: e.kind().to_string(),
-                            message: e.to_string(),
-                        },
+            Scenario::new(cell.kind.label(), cell.seed, move |attempt| {
+                let result = cell_inputs(&cfg, cell, attempt, &prepared.workload).and_then(
+                    |(gpu, workload)| {
+                        let report = Simulator::new(&prepared.bvh, prepared.scene.triangles(), gpu)
+                            .try_run(&workload)?;
+                        Ok((report.stats.cycles, report.stats.rays_completed))
                     },
-                ),
-                Err(cell_error) => (0, CellStatus::Panicked { message: cell_error.message }),
-            };
-            let final_budget = cell_budget(cfg, cell.kind, retries);
-            CellOutcome { index: cell.index, kind: cell.kind, label, retries, final_budget, status }
+                );
+                let budget = cell_budget(&cfg, cell.kind, attempt);
+                let verdict = judge(cell.kind, attempt, budget, &result);
+                if matches!(result, Err(SimError::CycleBudget { .. })) {
+                    Err(verdict)
+                } else {
+                    Ok(verdict)
+                }
+            })
         })
         .collect();
-    CampaignReport { cells: outcomes }
+    campaign::run(engine, scenarios, cfg.max_retries)
 }
 
 #[cfg(test)]
@@ -404,7 +317,7 @@ mod tests {
         for kind in FaultKind::ALL {
             assert!(a.iter().any(|c| c.kind == kind), "missing {kind}");
         }
-        // Cell seeds differ (splitmix64 of distinct inputs).
+        // Cell seeds differ (successive draws of one stream).
         assert_ne!(a[0].seed, a[1].seed);
         // A different master seed moves every cell seed.
         let other = generate_cells(&CampaignConfig { seed: 1, ..cfg });
@@ -412,29 +325,33 @@ mod tests {
     }
 
     #[test]
-    fn expectations_encode_the_contract() {
-        let ok = CellStatus::Completed { cycles: 1, rays_completed: 1 };
-        let cell = |kind, status| CellOutcome {
-            index: 0,
-            kind,
-            label: String::new(),
-            retries: 0,
-            final_budget: 2_000,
-            status,
-        };
-        assert!(cell(FaultKind::Control, ok.clone()).as_expected());
-        assert!(!cell(FaultKind::DegenerateWorkload, ok.clone()).as_expected());
-        let workload_err =
-            CellStatus::Failed { error_kind: "workload".to_string(), message: String::new() };
-        assert!(cell(FaultKind::DegenerateWorkload, workload_err.clone()).as_expected());
-        assert!(!cell(FaultKind::Control, workload_err).as_expected());
-        let budget_err =
-            CellStatus::Failed { error_kind: "cycle-budget".to_string(), message: String::new() };
-        assert!(cell(FaultKind::TinyCycleBudget, budget_err.clone()).as_expected());
-        assert!(cell(FaultKind::TinyCycleBudget, ok).as_expected());
-        assert!(!cell(FaultKind::SchedJitter, budget_err).as_expected());
-        let panic = CellStatus::Panicked { message: String::new() };
-        assert!(!cell(FaultKind::Control, panic).as_expected());
+    fn judge_encodes_the_contract() {
+        let ok = Ok((10, 4));
+        let no_rays = Ok((10, 0));
+        let workload = Err(SimError::Workload("empty".to_string()));
+        let budget = Err(SimError::CycleBudget {
+            budget: 2_000,
+            snapshot: gpusim::ForensicsSnapshot::default(),
+        });
+        let kept = |kind, result: &Result<(u64, u64), SimError>| judge(kind, 0, 1, result).is_ok();
+        assert!(kept(FaultKind::Control, &ok));
+        assert!(!kept(FaultKind::Control, &no_rays), "a control must trace rays");
+        assert!(kept(FaultKind::SchedJitter, &no_rays));
+        assert!(!kept(FaultKind::DegenerateWorkload, &ok));
+        assert!(kept(FaultKind::DegenerateWorkload, &workload));
+        assert!(!kept(FaultKind::Control, &workload));
+        assert!(kept(FaultKind::TinyCycleBudget, &budget));
+        assert!(kept(FaultKind::TinyCycleBudget, &ok));
+        assert!(!kept(FaultKind::SchedJitter, &budget));
+
+        let detail = judge(FaultKind::TinyCycleBudget, 2, 8_000, &budget).unwrap();
+        assert!(
+            detail
+                .starts_with("cycle-budget after 2 retries (final budget 8000): 0 cycles, 0 rays"),
+            "{detail}"
+        );
+        let detail = judge(FaultKind::Control, 0, 5, &ok).unwrap();
+        assert_eq!(detail, "completed after 0 retries (final budget 5): 10 cycles, 4 rays");
     }
 
     #[test]
@@ -465,39 +382,5 @@ mod tests {
         let tiny = FaultCell { index: 2, kind: FaultKind::TinyCycleBudget, seed: 3 };
         let (gpu, _) = cell_inputs(&cfg, tiny, 1, &base).expect("valid config");
         assert_eq!(gpu.max_cycles, Some(4_000), "attempt 1 doubles the 2k budget");
-    }
-
-    #[test]
-    fn summary_counts_line_up() {
-        let report = CampaignReport {
-            cells: vec![
-                CellOutcome {
-                    index: 0,
-                    kind: FaultKind::Control,
-                    label: "faults/0/control".to_string(),
-                    retries: 1,
-                    final_budget: 1_000_000,
-                    status: CellStatus::Completed { cycles: 10, rays_completed: 2 },
-                },
-                CellOutcome {
-                    index: 1,
-                    kind: FaultKind::DegenerateWorkload,
-                    label: "faults/1/degenerate-workload".to_string(),
-                    retries: 0,
-                    final_budget: 500_000,
-                    status: CellStatus::Failed {
-                        error_kind: "workload".to_string(),
-                        message: "empty".to_string(),
-                    },
-                },
-            ],
-        };
-        assert!(report.is_clean());
-        let s = report.summary();
-        assert!(s.contains("2 cells"), "got: {s}");
-        assert!(s.contains("1 completed"), "got: {s}");
-        assert!(s.contains("1 typed errors"), "got: {s}");
-        assert!(s.contains("0 panics"), "got: {s}");
-        assert!(s.contains("0 contract violations"), "got: {s}");
     }
 }

@@ -40,6 +40,9 @@
 //!   resume without re-running completed cells, and a delta-debugging
 //!   shrinker that reduces a failing cell to a replayable minimal
 //!   reproducer,
+//! * [`campaign`] — the one fault-campaign runner: named, seeded
+//!   scenarios run panic-isolated with bounded retries into one outcome
+//!   type, one report and one framed JSONL export,
 //! * [`diskfault`] — the durable-write discipline (unique temp files,
 //!   fsync, atomic rename) and a seeded disk-fault injection shim
 //!   (torn write, bit flip, ENOSPC, failed rename, short read) that
@@ -63,6 +66,7 @@
 
 pub mod analytical;
 pub mod area;
+pub mod campaign;
 pub mod conformance;
 pub mod diskfault;
 pub mod durable;
@@ -104,13 +108,13 @@ pub mod prelude {
     };
     pub use crate::experiment::{aggregate_stats, export_run, ExperimentConfig, Prepared};
     pub use crate::faults::{
-        cell_budget, cell_inputs, generate_cells, run_campaign, CampaignConfig, CampaignReport,
-        CellOutcome, CellStatus, FaultCell, FaultKind,
+        cell_budget, cell_inputs, generate_cells, run_campaign, CampaignConfig, FaultCell,
+        FaultKind,
     };
     pub use crate::provenance::{provenance_line, PROVENANCE_RECORD};
     pub use crate::sweep::{
-        cell_key_fingerprint, config_fingerprint, default_jobs, retry_delay, Cell, CellError,
-        CellErrorKind, CellResult, PreparedCache, Retried, RunMatrix, SweepEngine,
+        cell_key_fingerprint, config_fingerprint, default_jobs, Cell, CellError, CellErrorKind,
+        CellResult, PreparedCache, Retried, RunMatrix, SweepEngine,
     };
     pub use crate::workload::{Image, PathTracer};
     pub use ::prof;

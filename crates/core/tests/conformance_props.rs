@@ -4,8 +4,8 @@
 //! than closest-hit traversal.
 
 use gpusim::{
-    GpuConfig, NextNode, PathTask, RayId, RayTraversal, Simulator, TraceCall, TraversalPolicy,
-    VtqParams, Workload, TRACE_T_MIN,
+    GpuConfig, NextNode, PathTask, RayId, RayTraversal, RunOptions, Simulator, TraceCall,
+    TraversalPolicy, VtqParams, Workload, TRACE_T_MIN,
 };
 use proptest::prelude::*;
 use rtbvh::{Bvh, BvhConfig, PrimHit};
@@ -110,7 +110,10 @@ proptest! {
             TraversalPolicy::Vtq(VtqParams::default()),
         ] {
             let sim = Simulator::new(&bvh, &tris, cfg.with_policy(policy));
-            let (_, capture) = sim.try_run_with_hits(&workload).expect("simulation runs");
+            let mut capture = None;
+            sim.try_run_with(&workload, RunOptions::new().capture_hits(&mut capture))
+                .expect("simulation runs");
+            let capture = capture.expect("a completed run fills the capture");
             for (task, &(ray, t_max)) in rays.iter().enumerate() {
                 let oracle = bvh.occluded(&tris, &ray, TRACE_T_MIN, t_max);
                 let got = capture.get(task, 0).expect("one call per task").is_some();

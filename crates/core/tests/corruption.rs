@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use gpusim::{Checkpoint, Simulator};
+use gpusim::{Checkpoint, RunOptions, Simulator};
 use vtq::prelude::*;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -169,11 +169,14 @@ fn checkpoint_byte_flips_are_rejected_or_payload_safe() {
     let prepared = Prepared::build(SceneId::Ref, &cfg);
     let sim = Simulator::new(&prepared.bvh, prepared.scene.triangles(), cfg.gpu);
     let mut snap = None;
-    sim.try_run_checkpointed(&prepared.workload, 16, &mut |ck| {
-        if snap.is_none() {
-            snap = Some(ck);
-        }
-    })
+    sim.try_run_with(
+        &prepared.workload,
+        RunOptions::new().checkpoint(16, &mut |ck| {
+            if snap.is_none() {
+                snap = Some(ck);
+            }
+        }),
+    )
     .expect("checkpointed run");
     let text = snap.expect("captured a checkpoint").to_jsonl();
     let bytes = text.as_bytes();

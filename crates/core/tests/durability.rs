@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gpusim::{PathTask, Sabotage, Workload};
+use rtmath::XorShiftRng;
 use vtq::prelude::*;
 
 /// Serializes the tests that drive the process-global cooperative-cancel
@@ -145,15 +146,6 @@ fn shrinker_reduces_a_sabotaged_failure_to_a_replayable_repro() {
 #[test]
 fn killed_and_resumed_sweeps_settle_each_cell_exactly_once() {
     let _gate = CANCEL_GATE.lock().unwrap_or_else(|p| p.into_inner());
-    // splitmix64: the repo's standard dependency-free deterministic RNG.
-    fn next(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     let scenes = [SceneId::Ref, SceneId::Bunny, SceneId::Lands];
     let cfg = ExperimentConfig { resolution: 8, detail_divisor: 64, ..ExperimentConfig::quick() };
     let mut matrix = RunMatrix::new();
@@ -171,7 +163,7 @@ fn killed_and_resumed_sweeps_settle_each_cell_exactly_once() {
     let prepared = Arc::new(PreparedCache::new());
 
     for seed in 0..20u64 {
-        let mut rng = 0x5eed_0000 ^ (seed.wrapping_mul(0x0123_4567_89ab_cdef));
+        let mut rng = XorShiftRng::new(seed);
         let dir = temp_dir(&format!("interleave-{seed}"));
         let executions = std::sync::Mutex::new(std::collections::HashMap::<String, usize>::new());
 
@@ -188,7 +180,7 @@ fn killed_and_resumed_sweeps_settle_each_cell_exactly_once() {
             let remaining = total - journal.completed_count();
             // Kill after 1..remaining executions, or 0 = let it finish.
             let kill =
-                if remaining > 0 { (next(&mut rng) % (remaining as u64 + 1)) as usize } else { 0 };
+                if remaining > 0 { (rng.next_u64() % (remaining as u64 + 1)) as usize } else { 0 };
             let engine = SweepEngine::with_cache(1, Arc::clone(&prepared))
                 .with_journal(journal)
                 .scoped("interleave");

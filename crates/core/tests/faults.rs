@@ -1,8 +1,8 @@
 //! Smoke test for the seeded fault-injection campaign: a 25-cell matrix
 //! on a tiny scene, run with the invariant auditor on every cell. The
-//! campaign contract — no panics, control cells complete, degenerate
-//! workloads rejected with typed errors, tiny budgets trip the watchdog —
-//! must hold end to end.
+//! campaign contract — no panics, control cells complete with rays
+//! traced, degenerate workloads rejected with typed errors, tiny budgets
+//! trip the watchdog — must hold end to end.
 
 use vtq::prelude::*;
 
@@ -17,42 +17,31 @@ fn quick_campaign_is_clean_end_to_end() {
 
     let engine = SweepEngine::new(0);
     let report = run_campaign(&cfg, &engine);
-    assert_eq!(report.cells.len(), 25);
+    assert_eq!(report.outcomes.len(), 25);
     assert!(
         report.is_clean(),
         "campaign violations: {:?}\nsummary: {}",
-        report.violations(),
+        report.violations().collect::<Vec<_>>(),
         report.summary()
     );
 
     // Spot-check the contract per kind rather than trusting is_clean
-    // alone: controls completed, degenerate cells were rejected as
-    // `workload`, tiny budgets ended in `cycle-budget` after consuming
-    // their retry budget.
-    for cell in &report.cells {
+    // alone: outcomes follow cell order, controls completed, degenerate
+    // cells were rejected as `workload` without retrying, tiny budgets
+    // that ended in `cycle-budget` consumed their whole retry budget.
+    for (cell, outcome) in generate_cells(&cfg).iter().zip(&report.outcomes) {
+        assert_eq!((outcome.scenario.as_str(), outcome.seed), (cell.kind.label(), cell.seed));
+        let detail = outcome.verdict.as_deref().expect("clean campaign");
         match cell.kind {
             FaultKind::Control => {
-                assert!(
-                    matches!(cell.status, CellStatus::Completed { rays_completed, .. } if rays_completed > 0),
-                    "control cell {}: {:?}",
-                    cell.index,
-                    cell.status
-                );
+                assert!(detail.starts_with("completed"), "control cell {}: {detail}", cell.index);
             }
             FaultKind::DegenerateWorkload => {
-                assert!(
-                    matches!(&cell.status, CellStatus::Failed { error_kind, .. } if error_kind == "workload"),
-                    "degenerate cell {}: {:?}",
-                    cell.index,
-                    cell.status
-                );
-                assert_eq!(cell.retries, 0, "workload errors are not retryable");
+                assert!(detail.starts_with("workload"), "degenerate cell {}: {detail}", cell.index);
+                assert_eq!(outcome.retries, 0, "workload errors are not retryable");
             }
-            FaultKind::TinyCycleBudget => {
-                if let CellStatus::Failed { error_kind, .. } = &cell.status {
-                    assert_eq!(error_kind, "cycle-budget");
-                    assert_eq!(cell.retries, cfg.max_retries, "budget errors retry to exhaustion");
-                }
+            FaultKind::TinyCycleBudget if detail.starts_with("cycle-budget") => {
+                assert_eq!(outcome.retries, cfg.max_retries, "budget errors retry to exhaustion");
             }
             _ => {}
         }

@@ -8,8 +8,8 @@
 //! fractional DRAM service-queue head, fault RNG), scheduler heaps, the
 //! jitter RNG, accumulated statistics and trace-sink counters. Resuming
 //! from a checkpoint with
-//! [`Simulator::resume_from`](crate::Simulator::resume_from) produces a
-//! final [`SimStats`] bit-identical to the uninterrupted run.
+//! [`RunOptions::resume`](crate::RunOptions::resume) produces a final
+//! [`SimStats`] bit-identical to the uninterrupted run.
 //!
 //! The on-disk form ([`Checkpoint::to_jsonl`]) is flat JSONL in the same
 //! dialect as [`export::snapshot_jsonl`](crate::export::snapshot_jsonl):
@@ -142,9 +142,8 @@ impl RtUnitState {
 /// A complete, bit-exact snapshot of the engine's architectural state at
 /// a quiescent cycle.
 ///
-/// Produced by
-/// [`Simulator::try_run_checkpointed`](crate::Simulator::try_run_checkpointed),
-/// consumed by [`Simulator::resume_from`](crate::Simulator::resume_from),
+/// Produced by [`RunOptions::checkpoint`](crate::RunOptions::checkpoint),
+/// consumed by [`RunOptions::resume`](crate::RunOptions::resume),
 /// persisted via [`Checkpoint::to_jsonl`] / [`Checkpoint::from_jsonl`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {

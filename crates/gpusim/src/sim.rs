@@ -291,7 +291,11 @@ impl<'r> RunOptions<'r> {
 
     /// Captures a [`Checkpoint`] roughly every `every_cycles` simulated
     /// cycles (at the first clock advance past the mark) and hands it to
-    /// `on_checkpoint`. Checkpointing is pure observation.
+    /// `on_checkpoint`. Persist it with [`Checkpoint::to_jsonl`] and later
+    /// [`resume`](Self::resume) from it — the resumed run's final
+    /// [`SimStats`] is bit-identical to the uninterrupted run's.
+    /// Checkpointing is pure observation: the checkpointed run itself is
+    /// cycle-identical to a plain [`Simulator::try_run`].
     pub fn checkpoint(
         mut self,
         every_cycles: u64,
@@ -301,8 +305,10 @@ impl<'r> RunOptions<'r> {
         self
     }
 
-    /// Restores `snapshot` before cycling instead of starting from cycle 0.
-    /// The snapshot must come from the same scene, workload and config.
+    /// Restores `snapshot` before cycling instead of starting from cycle 0
+    /// and runs the remainder of the kernel. The snapshot must come from
+    /// the same scene, workload and configuration; otherwise the run
+    /// fails with [`SimError::Checkpoint`].
     pub fn resume(mut self, snapshot: &'r Checkpoint) -> RunOptions<'r> {
         self.resume = Some(snapshot);
         self
@@ -401,89 +407,6 @@ impl<'a> Simulator<'a> {
     /// [`GpuConfig`] is trusted as-is, matching the legacy contract.
     pub fn try_run(&self, workload: &Workload) -> Result<SimReport, SimError> {
         self.try_run_with(workload, RunOptions::new())
-    }
-
-    /// [`Simulator::try_run`] plus an explicit [`HitCapture`] of the
-    /// functional results — the hit-capture hook of the differential
-    /// conformance harness (`vtq-bench conformance`), which asserts the
-    /// capture agrees bit for bit with the timing-free oracle under every
-    /// traversal policy.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`Simulator::try_run`].
-    pub fn try_run_with_hits(
-        &self,
-        workload: &Workload,
-    ) -> Result<(SimReport, HitCapture), SimError> {
-        let mut capture = None;
-        let report = self.try_run_with(workload, RunOptions::new().capture_hits(&mut capture))?;
-        Ok((report, capture.expect("a completed run always fills the requested capture")))
-    }
-
-    /// [`Simulator::try_run`] with structured-event tracing.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`Simulator::try_run`].
-    pub fn try_run_traced(
-        &self,
-        workload: &Workload,
-        sink: &mut dyn TraceSink,
-    ) -> Result<SimReport, SimError> {
-        self.try_run_with(workload, RunOptions::new().trace(sink))
-    }
-
-    /// [`Simulator::try_run`] with periodic checkpointing: roughly every
-    /// `every_cycles` simulated cycles (at the first clock advance past the
-    /// mark) the complete architectural state is captured and handed to
-    /// `on_checkpoint`. Persist it with [`Checkpoint::to_jsonl`] and later
-    /// [`Simulator::resume_from`] it — the resumed run's final
-    /// [`SimStats`] is bit-identical to the uninterrupted run's.
-    ///
-    /// Checkpointing is pure observation: the checkpointed run itself is
-    /// cycle-identical to a plain [`Simulator::try_run`].
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`Simulator::try_run`].
-    pub fn try_run_checkpointed(
-        &self,
-        workload: &Workload,
-        every_cycles: u64,
-        on_checkpoint: &mut dyn FnMut(Checkpoint),
-    ) -> Result<SimReport, SimError> {
-        self.try_run_with(workload, RunOptions::new().checkpoint(every_cycles, on_checkpoint))
-    }
-
-    /// Restores `snapshot` (captured by [`Simulator::try_run_checkpointed`]
-    /// on the *same* scene, workload and configuration) and runs the
-    /// remainder of the kernel to completion. The final [`SimStats`] is
-    /// bit-identical to the run the checkpoint was taken from.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Checkpoint`] when the snapshot's version, config
-    /// fingerprint, workload shape or machine geometry does not match this
-    /// simulator; otherwise identical to [`Simulator::try_run`].
-    pub fn resume_from(
-        &self,
-        workload: &Workload,
-        snapshot: &Checkpoint,
-    ) -> Result<SimReport, SimError> {
-        self.try_run_with(workload, RunOptions::new().resume(snapshot))
-    }
-
-    /// Test hook: runs with a scheduled state corruption so the invariant
-    /// auditor's detection path can be exercised end to end. Not part of
-    /// the public API contract.
-    #[doc(hidden)]
-    pub fn try_run_sabotaged(
-        &self,
-        workload: &Workload,
-        sabotage: Sabotage,
-    ) -> Result<SimReport, SimError> {
-        self.try_run_with(workload, RunOptions::new().sabotage(sabotage))
     }
 
     /// [`Simulator::try_run`] with explicit per-run [`RunOptions`]: trace

@@ -5,8 +5,8 @@
 //! path returns a typed error instead of panicking.
 
 use gpusim::{
-    config_tag, Checkpoint, GpuConfig, PathTask, SimStats, Simulator, TraversalPolicy, VtqParams,
-    Workload, CHECKPOINT_VERSION,
+    config_tag, Checkpoint, GpuConfig, PathTask, RunOptions, SimStats, Simulator, TraversalPolicy,
+    VtqParams, Workload, CHECKPOINT_VERSION,
 };
 use rtbvh::{Bvh, BvhConfig};
 use rtscene::lumibench::{self, SceneId};
@@ -57,7 +57,7 @@ fn run_all_ways(
 
     let mut ckpts: Vec<Checkpoint> = Vec::new();
     let checkpointed = sim
-        .try_run_checkpointed(workload, 64, &mut |c| ckpts.push(c))
+        .try_run_with(workload, RunOptions::new().checkpoint(64, &mut |c| ckpts.push(c)))
         .unwrap_or_else(|e| panic!("{label}: checkpointed run: {e}"));
     // Checkpointing is pure observation: the instrumented run is identical.
     assert_eq!(checkpointed.stats, plain.stats, "{label}: checkpoint capture perturbed the run");
@@ -76,7 +76,7 @@ fn run_all_ways(
     // both must converge to the same final state as the uninterrupted run.
     for ckpt in [ckpts.first().unwrap(), ckpts.last().unwrap()] {
         let resumed = sim
-            .resume_from(workload, ckpt)
+            .try_run_with(workload, RunOptions::new().resume(ckpt))
             .unwrap_or_else(|e| panic!("{label}: resume from cycle {}: {e}", ckpt.cycle()));
         assert_eq!(
             resumed.stats,
@@ -110,14 +110,15 @@ fn every_checkpoint_of_one_run_resumes_identically() {
     let plain = sim.try_run(&workload).expect("plain run");
 
     let mut ckpts = Vec::new();
-    sim.try_run_checkpointed(&workload, 48, &mut |c| ckpts.push(c)).expect("checkpointed run");
+    sim.try_run_with(&workload, RunOptions::new().checkpoint(48, &mut |c| ckpts.push(c)))
+        .expect("checkpointed run");
     assert!(ckpts.len() >= 2, "want several snapshots, got {}", ckpts.len());
     // Marks are spaced by the requested interval: strictly increasing cycles.
     for pair in ckpts.windows(2) {
         assert!(pair[0].cycle() < pair[1].cycle());
     }
     for ckpt in &ckpts {
-        let resumed = sim.resume_from(&workload, ckpt).expect("resume");
+        let resumed = sim.try_run_with(&workload, RunOptions::new().resume(ckpt)).expect("resume");
         assert_eq!(resumed.stats, plain.stats, "resume from cycle {} diverged", ckpt.cycle());
     }
 }
@@ -131,7 +132,8 @@ fn checkpoint_round_trips_through_jsonl() {
     let plain = sim.try_run(&workload).expect("plain run");
 
     let mut ckpts = Vec::new();
-    sim.try_run_checkpointed(&workload, 64, &mut |c| ckpts.push(c)).expect("checkpointed run");
+    sim.try_run_with(&workload, RunOptions::new().checkpoint(64, &mut |c| ckpts.push(c)))
+        .expect("checkpointed run");
     for ckpt in &ckpts {
         let text = ckpt.to_jsonl();
         let back = Checkpoint::from_jsonl(&text)
@@ -139,7 +141,9 @@ fn checkpoint_round_trips_through_jsonl() {
         // Lossless: the parsed snapshot is structurally identical...
         assert_eq!(&back, ckpt, "JSONL round-trip lost state at cycle {}", ckpt.cycle());
         // ...and behaviorally identical: resuming it reaches the same end.
-        let resumed = sim.resume_from(&workload, &back).expect("resume parsed snapshot");
+        let resumed = sim
+            .try_run_with(&workload, RunOptions::new().resume(&back))
+            .expect("resume parsed snapshot");
         assert_eq!(resumed.stats, plain.stats);
     }
 }
@@ -151,25 +155,32 @@ fn resume_rejects_mismatched_config_and_workload() {
     let cfg = config(TraversalPolicy::Vtq(VtqParams::default()));
     let sim = Simulator::new(&bvh, scene.triangles(), cfg);
     let mut ckpts = Vec::new();
-    sim.try_run_checkpointed(&workload, 64, &mut |c| ckpts.push(c)).expect("checkpointed run");
+    sim.try_run_with(&workload, RunOptions::new().checkpoint(64, &mut |c| ckpts.push(c)))
+        .expect("checkpointed run");
     let ckpt = ckpts.first().expect("at least one snapshot");
 
     // Different policy => different config fingerprint.
     let other = Simulator::new(&bvh, scene.triangles(), config(TraversalPolicy::Baseline));
-    let err = other.resume_from(&workload, ckpt).expect_err("config mismatch must be rejected");
+    let err = other
+        .try_run_with(&workload, RunOptions::new().resume(ckpt))
+        .expect_err("config mismatch must be rejected");
     assert_eq!(err.kind(), "checkpoint");
     assert!(err.to_string().contains("checkpoint rejected"), "got: {err}");
 
     // Same config, different workload shape.
     let short = small_workload(&scene, 16);
-    let err = sim.resume_from(&short, ckpt).expect_err("workload mismatch must be rejected");
+    let err = sim
+        .try_run_with(&short, RunOptions::new().resume(ckpt))
+        .expect_err("workload mismatch must be rejected");
     assert_eq!(err.kind(), "checkpoint");
 
     // Same config, different machine geometry.
     let mut wide = config(TraversalPolicy::Vtq(VtqParams::default()));
     wide.mem.num_sms = 4;
     let wide_sim = Simulator::new(&bvh, scene.triangles(), wide);
-    let err = wide_sim.resume_from(&workload, ckpt).expect_err("geometry mismatch");
+    let err = wide_sim
+        .try_run_with(&workload, RunOptions::new().resume(ckpt))
+        .expect_err("geometry mismatch");
     assert_eq!(err.kind(), "checkpoint");
 }
 
@@ -179,7 +190,8 @@ fn corrupt_checkpoint_dumps_return_typed_errors() {
     let workload = small_workload(&scene, 24);
     let sim = Simulator::new(&bvh, scene.triangles(), config(TraversalPolicy::Baseline));
     let mut ckpts = Vec::new();
-    sim.try_run_checkpointed(&workload, 64, &mut |c| ckpts.push(c)).expect("checkpointed run");
+    sim.try_run_with(&workload, RunOptions::new().checkpoint(64, &mut |c| ckpts.push(c)))
+        .expect("checkpointed run");
     let text = ckpts.first().expect("snapshot").to_jsonl();
 
     // Truncation: a dump with the terminal record torn off is detected.
@@ -211,7 +223,9 @@ fn corrupt_checkpoint_dumps_return_typed_errors() {
     // rejected by the restore validator — defense in depth, not a panic.
     let hollow = Checkpoint::from_jsonl(&without("\"ckpt_engine\""))
         .expect("engine-less dump parses (defaults)");
-    let err = sim.resume_from(&workload, &hollow).expect_err("restore must reject hollow state");
+    let err = sim
+        .try_run_with(&workload, RunOptions::new().resume(&hollow))
+        .expect_err("restore must reject hollow state");
     assert_eq!(err.kind(), "checkpoint");
 
     // Garbage injection mid-stream names the offending line.
@@ -244,7 +258,8 @@ fn mid_run_snapshots_carry_live_stack_entries() {
     let plain = sim.try_run(&workload).expect("plain run");
 
     let mut ckpts = Vec::new();
-    sim.try_run_checkpointed(&workload, 32, &mut |c| ckpts.push(c)).expect("checkpointed run");
+    sim.try_run_with(&workload, RunOptions::new().checkpoint(32, &mut |c| ckpts.push(c)))
+        .expect("checkpointed run");
 
     let has_live_stack = |text: &str| {
         text.lines().any(|l| {
@@ -262,7 +277,9 @@ fn mid_run_snapshots_carry_live_stack_entries() {
     let (ckpt, text) = live;
     let back = Checkpoint::from_jsonl(&text).expect("round-trip parses");
     assert_eq!(&back, ckpt, "live-stack snapshot lost state in the JSONL round-trip");
-    let resumed = sim.resume_from(&workload, &back).expect("resume live-stack snapshot");
+    let resumed = sim
+        .try_run_with(&workload, RunOptions::new().resume(&back))
+        .expect("resume live-stack snapshot");
     assert_eq!(resumed.stats, plain.stats, "resume from live-stack snapshot diverged");
     assert_eq!(resumed.hits, plain.hits);
 }

@@ -6,8 +6,8 @@
 
 use gpusim::export::{parse_snapshot_jsonl, snapshot_jsonl};
 use gpusim::{
-    AuditMode, GpuConfig, PathTask, Sabotage, SimError, Simulator, TraversalPolicy, VtqParams,
-    Workload,
+    AuditMode, GpuConfig, PathTask, RunOptions, Sabotage, SimError, Simulator, TraversalPolicy,
+    VtqParams, Workload,
 };
 use rtbvh::{Bvh, BvhConfig};
 use rtscene::lumibench::{self, SceneId};
@@ -128,7 +128,10 @@ fn sabotaged_queue_counter_is_caught_by_the_auditor() {
     let workload = small_workload(&scene, 16);
     let cfg = GpuConfig { audit: AuditMode::Every(1), ..GpuConfig::default() };
     let err = Simulator::new(&bvh, scene.triangles(), cfg)
-        .try_run_sabotaged(&workload, Sabotage { at_cycle: 0, queue_total_delta: 3 })
+        .try_run_with(
+            &workload,
+            RunOptions::new().sabotage(Sabotage { at_cycle: 0, queue_total_delta: 3 }),
+        )
         .expect_err("corrupted counter must trip the auditor");
     match err {
         SimError::Invariant(v) => {

@@ -4,8 +4,8 @@
 
 use gpusim::export::{events_jsonl, metrics_json, series_csv, stall_csv};
 use gpusim::{
-    CountingSink, GpuConfig, PathTask, RingSink, SimReport, Simulator, StallKind, TraceEvent,
-    TraversalPolicy, VtqParams, Workload,
+    CountingSink, GpuConfig, PathTask, RingSink, RunOptions, SimReport, Simulator, StallKind,
+    TraceEvent, TraversalPolicy, VtqParams, Workload,
 };
 use rtbvh::{Bvh, BvhConfig};
 use rtscene::lumibench::{self, SceneId};
@@ -48,7 +48,7 @@ fn traced_run_is_cycle_identical_to_untraced() {
         let sim = Simulator::new(&bvh, scene.triangles(), small_cfg(policy));
         let plain = sim.try_run(&workload).unwrap();
         let mut sink = CountingSink::default();
-        let traced = sim.try_run_traced(&workload, &mut sink).unwrap();
+        let traced = sim.try_run_with(&workload, RunOptions::new().trace(&mut sink)).unwrap();
         assert_eq!(plain.stats.cycles, traced.stats.cycles, "policy {}", policy.label());
         assert_eq!(plain.stats, traced.stats, "policy {}", policy.label());
         assert_eq!(plain.hits, traced.hits);
@@ -86,7 +86,7 @@ fn vtq_emits_queue_and_lifecycle_events() {
     let workload = camera_workload(&scene, 48);
     let mut sink = RingSink::new(1 << 20);
     let report = Simulator::new(&bvh, scene.triangles(), small_cfg(vtq()))
-        .try_run_traced(&workload, &mut sink)
+        .try_run_with(&workload, RunOptions::new().trace(&mut sink))
         .unwrap();
     assert_eq!(sink.dropped(), 0, "ring too small for exact count checks");
     let count = |tag: &str| sink.events().filter(|e| e.tag() == tag).count() as u64;
@@ -126,7 +126,7 @@ fn ring_sink_stays_bounded_on_real_runs() {
     let workload = camera_workload(&scene, 48);
     let mut sink = RingSink::new(256);
     Simulator::new(&bvh, scene.triangles(), small_cfg(vtq()))
-        .try_run_traced(&workload, &mut sink)
+        .try_run_with(&workload, RunOptions::new().trace(&mut sink))
         .unwrap();
     assert_eq!(sink.len(), 256);
     assert!(sink.dropped() > 0);
@@ -167,7 +167,7 @@ fn exporters_produce_wellformed_output() {
     let workload = camera_workload(&scene, 32);
     let mut sink = RingSink::new(4096);
     let sim = Simulator::new(&bvh, scene.triangles(), small_cfg(vtq()));
-    let report = sim.try_run_traced(&workload, &mut sink).unwrap();
+    let report = sim.try_run_with(&workload, RunOptions::new().trace(&mut sink)).unwrap();
 
     let jsonl = sink.to_jsonl();
     assert_eq!(jsonl.lines().count(), sink.len());

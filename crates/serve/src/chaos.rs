@@ -1,4 +1,4 @@
-//! Deterministic in-process fault harness for the daemon.
+//! Deterministic client-fault scenarios for the daemon.
 //!
 //! Each scenario injects one client-side fault against a *live* server
 //! and then proves the daemon degraded gracefully: it is still accepting
@@ -6,6 +6,8 @@
 //! handler, the executor or the accept loop. The scenarios are
 //! deterministic — no randomness, no timing races beyond the socket
 //! timeouts under test — so a failure is a reproducible bug, not flake.
+//! Each returns a [`Verdict`]; `vtq-bench chaos` runs them through
+//! [`vtq::campaign::run`].
 //!
 //! Covered faults:
 //!
@@ -22,32 +24,10 @@ use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use vtq::campaign::Verdict;
+
 use crate::client::Client;
 use crate::proto::{Frame, RejectReason, Request, SubmitSpec};
-
-/// Outcome of one chaos scenario.
-#[derive(Debug, Clone)]
-pub struct ScenarioOutcome {
-    /// Scenario name.
-    pub name: &'static str,
-    /// `Ok` when the daemon degraded gracefully; `Err` explains the
-    /// violated expectation.
-    pub verdict: Result<(), String>,
-}
-
-/// Outcomes of the whole campaign.
-#[derive(Debug, Clone)]
-pub struct ChaosReport {
-    /// One outcome per scenario, in execution order.
-    pub scenarios: Vec<ScenarioOutcome>,
-}
-
-impl ChaosReport {
-    /// Whether every scenario passed.
-    pub fn all_ok(&self) -> bool {
-        self.scenarios.iter().all(|s| s.verdict.is_ok())
-    }
-}
 
 /// Proves the daemon still answers well-formed requests: a whole-service
 /// status round trip on a fresh connection.
@@ -63,7 +43,7 @@ fn probe_alive(addr: SocketAddr) -> Result<(), String> {
 /// Scenario: a client that writes a byte, stalls past the server's read
 /// timeout, and never completes its frame. The handler thread must time
 /// it out; the daemon must stay responsive throughout.
-pub fn slow_client(addr: SocketAddr, server_timeout: Duration) -> Result<(), String> {
+pub fn slow_client(addr: SocketAddr, server_timeout: Duration) -> Verdict {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     stream.write_all(b"{\"req\":").map_err(|e| format!("write: {e}"))?;
     // While the slow connection is still open and mid-frame, the daemon
@@ -71,13 +51,14 @@ pub fn slow_client(addr: SocketAddr, server_timeout: Duration) -> Result<(), Str
     probe_alive(addr).map_err(|e| format!("daemon unresponsive behind a slow client: {e}"))?;
     // Out-wait the server's read timeout so the handler reaps us.
     std::thread::sleep(server_timeout + Duration::from_millis(200));
-    probe_alive(addr).map_err(|e| format!("daemon unresponsive after reaping: {e}"))
+    probe_alive(addr).map_err(|e| format!("daemon unresponsive after reaping: {e}"))?;
+    Ok("stalled mid-frame past the read timeout; daemon stayed responsive".to_string())
 }
 
 /// Scenario: a frame cut in half. Sent with a newline it must yield a
 /// typed `bad_request`; cut *without* one (client died mid-write) the
 /// connection just closes and the daemon moves on.
-pub fn half_written_frame(addr: SocketAddr) -> Result<(), String> {
+pub fn half_written_frame(addr: SocketAddr) -> Verdict {
     // Variant 1: torn-but-terminated line on a connection that stays up.
     let mut client = Client::connect_with_timeout(addr, Duration::from_secs(10))
         .map_err(|e| format!("connect: {e}"))?;
@@ -97,13 +78,14 @@ pub fn half_written_frame(addr: SocketAddr) -> Result<(), String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect: {e}"))?;
     stream.write_all(torn.as_bytes()).map_err(|e| format!("write: {e}"))?;
     drop(stream);
-    probe_alive(addr).map_err(|e| format!("daemon unresponsive after mid-write hangup: {e}"))
+    probe_alive(addr).map_err(|e| format!("daemon unresponsive after mid-write hangup: {e}"))?;
+    Ok("torn line rejected as bad_request; mid-write hangup survived".to_string())
 }
 
 /// Scenario: a watching client is killed while its job runs. The job
 /// must finish anyway, and its results must be fetchable afterwards.
 /// `spec` should be a small-but-real job (the caller controls size).
-pub fn mid_job_kill(addr: SocketAddr, spec: SubmitSpec) -> Result<(), String> {
+pub fn mid_job_kill(addr: SocketAddr, spec: SubmitSpec) -> Verdict {
     let mut spec = spec;
     spec.watch = true;
     let mut client = Client::connect_with_timeout(addr, Duration::from_secs(10))
@@ -130,7 +112,7 @@ pub fn mid_job_kill(addr: SocketAddr, spec: SubmitSpec) -> Result<(), String> {
                 if records.is_empty() {
                     return Err("orphaned job produced no fetchable results".to_string());
                 }
-                return Ok(());
+                return Ok(format!("orphaned {job} finished; {} records fetchable", records.len()));
             }
             Frame::Status { state, .. } if state == "cancelled" || state == "expired" => {
                 return Err(format!("orphaned job was {state}; it should have kept running"))
@@ -143,16 +125,4 @@ pub fn mid_job_kill(addr: SocketAddr, spec: SubmitSpec) -> Result<(), String> {
         }
         std::thread::sleep(Duration::from_millis(50));
     }
-}
-
-/// Runs the full campaign against a live daemon. `server_timeout` must
-/// match the server's `client_timeout` (the slow-client scenario waits it
-/// out); `spec` sizes the mid-job-kill sweep.
-pub fn run_campaign(addr: SocketAddr, server_timeout: Duration, spec: SubmitSpec) -> ChaosReport {
-    let scenarios = vec![
-        ScenarioOutcome { name: "slow-client", verdict: slow_client(addr, server_timeout) },
-        ScenarioOutcome { name: "half-written-frame", verdict: half_written_frame(addr) },
-        ScenarioOutcome { name: "mid-job-kill", verdict: mid_job_kill(addr, spec) },
-    ];
-    ChaosReport { scenarios }
 }

@@ -327,23 +327,33 @@ fn restart_serves_results_from_cache_without_rerunning() {
 
 #[test]
 fn chaos_campaign_all_green() {
+    use vtq::campaign::{self, Scenario};
+    use vtq_serve::chaos;
+
     let dir = test_dir("chaos");
     let mut cfg = config(dir.clone());
     // Short client timeout so the slow-client scenario completes fast.
-    cfg.client_timeout = Duration::from_millis(300);
+    let timeout = Duration::from_millis(300);
+    cfg.client_timeout = timeout;
     let handle = Server::spawn(cfg).expect("spawn");
+    let addr = handle.addr();
 
-    let report =
-        vtq_serve::chaos::run_campaign(handle.addr(), Duration::from_millis(300), tiny_spec());
-    for scenario in &report.scenarios {
+    let scenarios = vec![
+        Scenario::new("slow-client", 0, move |_| Ok(chaos::slow_client(addr, timeout))),
+        Scenario::new("half-written-frame", 0, move |_| Ok(chaos::half_written_frame(addr))),
+        Scenario::new("mid-job-kill", 0, move |_| Ok(chaos::mid_job_kill(addr, tiny_spec()))),
+    ];
+    let report = campaign::run(&vtq::SweepEngine::new(1), scenarios, 0);
+    assert_eq!(report.outcomes.len(), 3);
+    for outcome in &report.outcomes {
         assert!(
-            scenario.verdict.is_ok(),
+            outcome.verdict.is_ok(),
             "chaos scenario `{}` failed: {:?}",
-            scenario.name,
-            scenario.verdict
+            outcome.scenario,
+            outcome.verdict
         );
     }
-    assert!(report.all_ok());
+    assert!(report.is_clean());
     handle.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
